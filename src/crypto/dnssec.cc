@@ -1,8 +1,12 @@
 #include "crypto/dnssec.h"
 
 #include <algorithm>
+#include <cstring>
+#include <optional>
+#include <string>
 
 #include "dns/message.h"
+#include "util/flat_hash.h"
 
 namespace rootless::crypto {
 
@@ -10,6 +14,7 @@ using dns::DnskeyData;
 using dns::DsData;
 using dns::Name;
 using dns::RRset;
+using dns::RRsetView;
 using dns::RrsigData;
 using dns::RRType;
 using util::Bytes;
@@ -24,19 +29,126 @@ Bytes DnskeyRdataWire(const DnskeyData& dnskey) {
   return w.TakeData();
 }
 
-// Wire form of one canonicalized RR inside the signing form.
-void AppendCanonicalRR(const Name& owner, RRType type, dns::RRClass rrclass,
-                       std::uint32_t ttl, const Bytes& rdata_wire,
-                       ByteWriter& w) {
-  w.WriteBytes(owner.CanonicalWire());
-  w.WriteU16(static_cast<std::uint16_t>(type));
-  w.WriteU16(static_cast<std::uint16_t>(rrclass));
-  w.WriteU32(ttl);
-  w.WriteU16(static_cast<std::uint16_t>(rdata_wire.size()));
-  w.WriteBytes(rdata_wire);
+// Everything VerifyRRset checks about an RRSIG short of the MAC, in this
+// order: algorithms, covered type, key tag, validity window, signer.
+util::Status CheckRrsigFields(const RRsetView& rrset, const RrsigData& rrsig,
+                              std::uint8_t key_algorithm,
+                              std::uint16_t key_tag, std::uint32_t now) {
+  if (rrsig.algorithm != kSimSigAlgorithm)
+    return Error("rrsig: unsupported algorithm");
+  if (key_algorithm != kSimSigAlgorithm)
+    return Error("dnskey: unsupported algorithm");
+  if (rrsig.type_covered != rrset.type)
+    return Error("rrsig: type covered mismatch");
+  if (rrsig.key_tag != key_tag) return Error("rrsig: key tag mismatch");
+  if (now < rrsig.inception) return Error("rrsig: not yet valid");
+  if (now > rrsig.expiration) return Error("rrsig: expired");
+  if (!rrset.name->IsSubdomainOf(rrsig.signer))
+    return Error("rrsig: owner not under signer");
+  return util::Status::Ok();
+}
+
+util::Status CheckMac(const RRsetView& rrset, const RrsigData& rrsig,
+                      const HmacSha256Key& mac, CanonicalWriter& writer) {
+  const Digest256 expected = mac.Mac(writer.SigningForm(rrsig, rrset));
+  if (rrsig.signature.size() != expected.size() ||
+      !std::equal(expected.begin(), expected.end(), rrsig.signature.begin()))
+    return Error("rrsig: signature mismatch");
+  return util::Status::Ok();
+}
+
+// A signing key resolved once for a batch of RRsets: its tag and keyed MAC.
+struct Signer {
+  std::uint8_t algorithm;
+  std::uint16_t key_tag;
+  HmacSha256Key mac;
+
+  explicit Signer(const SigningKey& key)
+      : algorithm(key.dnskey.algorithm),
+        key_tag(key.key_tag()),
+        mac(key.secret) {}
+
+  RrsigData Sign(const RRsetView& rrset, const Name& signer,
+                 std::uint32_t inception, std::uint32_t expiration,
+                 CanonicalWriter& writer) const {
+    RrsigData sig;
+    sig.type_covered = rrset.type;
+    sig.algorithm = algorithm;
+    sig.labels = static_cast<std::uint8_t>(rrset.name->label_count());
+    sig.original_ttl = rrset.ttl;
+    sig.expiration = expiration;
+    sig.inception = inception;
+    sig.key_tag = key_tag;
+    sig.signer = signer;
+    const Digest256 d = mac.Mac(writer.SigningForm(sig, rrset));
+    sig.signature.assign(d.begin(), d.end());
+    return sig;
+  }
+};
+
+std::uint64_t OwnerTypeHash(const Name& owner, RRType type) {
+  return owner.Hash() ^
+         static_cast<std::uint64_t>(type) * 0x9E3779B97F4A7C15ULL;
+}
+
+std::string RRsetLabel(const RRsetView& s) {
+  return s.name->ToString() + " " + dns::RRTypeToString(s.type);
 }
 
 }  // namespace
+
+std::span<const std::uint8_t> CanonicalWriter::SigningForm(
+    const RrsigData& t, const RRsetView& rrset) {
+  out_.Clear();
+  // RRSIG RDATA minus the signature field.
+  out_.WriteU16(static_cast<std::uint16_t>(t.type_covered));
+  out_.WriteU8(t.algorithm);
+  out_.WriteU8(t.labels);
+  out_.WriteU32(t.original_ttl);
+  out_.WriteU32(t.expiration);
+  out_.WriteU32(t.inception);
+  out_.WriteU16(t.key_tag);
+  t.signer.EncodeCanonicalWire(out_);
+  AppendRRset(rrset, t.original_ttl);
+  return out_.span();
+}
+
+std::span<const std::uint8_t> CanonicalWriter::RRsetForm(
+    const RRsetView& rrset) {
+  out_.Clear();
+  AppendRRset(rrset, rrset.ttl);
+  return out_.span();
+}
+
+void CanonicalWriter::AppendRRset(const RRsetView& rrset, std::uint32_t ttl) {
+  rdata_.Clear();
+  spans_.clear();
+  for (const auto& rd : rrset.rdatas) {
+    const std::size_t offset = rdata_.size();
+    dns::EncodeRdata(rd, rdata_);
+    spans_.push_back(
+        RdataSpan{static_cast<std::uint32_t>(offset),
+                  static_cast<std::uint32_t>(rdata_.size() - offset)});
+  }
+  // Sorted by wire form, a prefix before its extensions: the order of
+  // std::vector<uint8_t>'s operator<.
+  const std::span<const std::uint8_t> wires = rdata_.span();
+  std::sort(spans_.begin(), spans_.end(),
+            [&wires](const RdataSpan& a, const RdataSpan& b) {
+              const int c = std::memcmp(wires.data() + a.offset,
+                                        wires.data() + b.offset,
+                                        std::min(a.size, b.size));
+              return c != 0 ? c < 0 : a.size < b.size;
+            });
+  for (const RdataSpan& rd : spans_) {
+    rrset.name->EncodeCanonicalWire(out_);
+    out_.WriteU16(static_cast<std::uint16_t>(rrset.type));
+    out_.WriteU16(static_cast<std::uint16_t>(rrset.rrclass));
+    out_.WriteU32(ttl);
+    out_.WriteU16(static_cast<std::uint16_t>(rd.size));
+    out_.WriteBytes(wires.subspan(rd.offset, rd.size));
+  }
+}
 
 std::uint16_t SigningKey::key_tag() const { return ComputeKeyTag(dnskey); }
 
@@ -62,50 +174,12 @@ std::uint16_t ComputeKeyTag(const DnskeyData& dnskey) {
   return static_cast<std::uint16_t>(acc & 0xFFFF);
 }
 
-Bytes CanonicalSigningForm(const RrsigData& t, const RRset& rrset) {
-  ByteWriter w;
-  // RRSIG RDATA minus the signature field.
-  w.WriteU16(static_cast<std::uint16_t>(t.type_covered));
-  w.WriteU8(t.algorithm);
-  w.WriteU8(t.labels);
-  w.WriteU32(t.original_ttl);
-  w.WriteU32(t.expiration);
-  w.WriteU32(t.inception);
-  w.WriteU16(t.key_tag);
-  w.WriteBytes(t.signer.CanonicalWire());
-
-  // Canonicalized RRset: rdatas sorted by their wire forms.
-  std::vector<Bytes> wires;
-  wires.reserve(rrset.rdatas.size());
-  for (const auto& rd : rrset.rdatas) {
-    ByteWriter rw;
-    dns::EncodeRdata(rd, rw);
-    wires.push_back(rw.TakeData());
-  }
-  std::sort(wires.begin(), wires.end());
-  for (const auto& rdata_wire : wires) {
-    AppendCanonicalRR(rrset.name, rrset.type, rrset.rrclass, t.original_ttl,
-                      rdata_wire, w);
-  }
-  return w.TakeData();
-}
-
 RrsigData SignRRset(const RRset& rrset, const SigningKey& key,
                     const Name& signer, std::uint32_t inception,
                     std::uint32_t expiration) {
-  RrsigData sig;
-  sig.type_covered = rrset.type;
-  sig.algorithm = key.dnskey.algorithm;
-  sig.labels = static_cast<std::uint8_t>(rrset.name.label_count());
-  sig.original_ttl = rrset.ttl;
-  sig.expiration = expiration;
-  sig.inception = inception;
-  sig.key_tag = key.key_tag();
-  sig.signer = signer;
-  const Bytes form = CanonicalSigningForm(sig, rrset);
-  const Digest256 mac = HmacSha256(key.secret, form);
-  sig.signature.assign(mac.begin(), mac.end());
-  return sig;
+  CanonicalWriter writer;
+  return Signer(key).Sign(RRsetView::Of(rrset), signer, inception, expiration,
+                          writer);
 }
 
 void KeyStore::AddKey(const SigningKey& key) {
@@ -121,28 +195,13 @@ const SigningKey* KeyStore::Find(const DnskeyData& dnskey) const {
 util::Status VerifyRRset(const RRset& rrset, const RrsigData& rrsig,
                          const DnskeyData& dnskey, const KeyStore& store,
                          std::uint32_t now) {
-  if (rrsig.algorithm != kSimSigAlgorithm)
-    return Error("rrsig: unsupported algorithm");
-  if (dnskey.algorithm != kSimSigAlgorithm)
-    return Error("dnskey: unsupported algorithm");
-  if (rrsig.type_covered != rrset.type)
-    return Error("rrsig: type covered mismatch");
-  if (rrsig.key_tag != ComputeKeyTag(dnskey))
-    return Error("rrsig: key tag mismatch");
-  if (now < rrsig.inception) return Error("rrsig: not yet valid");
-  if (now > rrsig.expiration) return Error("rrsig: expired");
-  if (!rrset.name.IsSubdomainOf(rrsig.signer))
-    return Error("rrsig: owner not under signer");
-
+  const RRsetView view = RRsetView::Of(rrset);
+  ROOTLESS_RETURN_IF_ERROR(CheckRrsigFields(view, rrsig, dnskey.algorithm,
+                                            ComputeKeyTag(dnskey), now));
   const SigningKey* key = store.Find(dnskey);
   if (key == nullptr) return Error("dnskey: unknown key identifier");
-
-  const Bytes form = CanonicalSigningForm(rrsig, rrset);
-  const Digest256 mac = HmacSha256(key->secret, form);
-  if (rrsig.signature.size() != mac.size() ||
-      !std::equal(mac.begin(), mac.end(), rrsig.signature.begin()))
-    return Error("rrsig: signature mismatch");
-  return util::Status::Ok();
+  CanonicalWriter writer;
+  return CheckMac(view, rrsig, HmacSha256Key(key->secret), writer);
 }
 
 DsData MakeDs(const Name& owner, const DnskeyData& dnskey) {
@@ -175,23 +234,14 @@ Digest256 ZoneDigest(const std::vector<RRset>& rrsets) {
   ordered.reserve(rrsets.size());
   for (const auto& s : rrsets) ordered.push_back(&s);
   std::sort(ordered.begin(), ordered.end(),
-            [](const RRset* a, const RRset* b) { return a->key() < b->key(); });
+            [](const RRset* a, const RRset* b) {
+              if (auto c = a->name <=> b->name; c != 0) return c < 0;
+              if (a->type != b->type) return a->type < b->type;
+              return a->rrclass < b->rrclass;
+            });
   Sha256 h;
-  for (const RRset* s : ordered) {
-    std::vector<Bytes> wires;
-    wires.reserve(s->rdatas.size());
-    for (const auto& rd : s->rdatas) {
-      ByteWriter rw;
-      dns::EncodeRdata(rd, rw);
-      wires.push_back(rw.TakeData());
-    }
-    std::sort(wires.begin(), wires.end());
-    ByteWriter w;
-    for (const auto& rdata_wire : wires) {
-      AppendCanonicalRR(s->name, s->type, s->rrclass, s->ttl, rdata_wire, w);
-    }
-    h.Update(w.span());
-  }
+  CanonicalWriter writer;
+  for (const RRset* s : ordered) h.Update(writer.RRsetForm(RRsetView::Of(*s)));
   return h.Finish();
 }
 
@@ -199,58 +249,123 @@ std::vector<RRset> SignZoneRRsets(const std::vector<RRset>& rrsets,
                                   const SigningKey& zsk, const Name& apex,
                                   std::uint32_t inception,
                                   std::uint32_t expiration) {
+  const Signer signer(zsk);
+  CanonicalWriter writer;
   std::vector<RRset> out = rrsets;
   for (const auto& rrset : rrsets) {
     if (rrset.type == RRType::kRRSIG) continue;
-    const RrsigData sig =
-        SignRRset(rrset, zsk, apex, inception, expiration);
     RRset sig_set;
     sig_set.name = rrset.name;
     sig_set.type = RRType::kRRSIG;
     sig_set.rrclass = rrset.rrclass;
     sig_set.ttl = rrset.ttl;
-    sig_set.rdatas.push_back(dns::Rdata(sig));
+    sig_set.rdatas.push_back(dns::Rdata(signer.Sign(
+        RRsetView::Of(rrset), apex, inception, expiration, writer)));
     out.push_back(std::move(sig_set));
   }
   return out;
+}
+
+util::Result<std::size_t> ValidateZoneRRsets(std::span<const RRsetView> rrsets,
+                                             const DnskeyData& dnskey,
+                                             const KeyStore& store,
+                                             std::uint32_t now) {
+  if (dnskey.algorithm != kSimSigAlgorithm)
+    return Error("zone: dnskey: unsupported algorithm");
+  const SigningKey* key = store.Find(dnskey);
+  if (key == nullptr) return Error("zone: dnskey: unknown key identifier");
+  const std::uint16_t key_tag = ComputeKeyTag(dnskey);
+  const HmacSha256Key mac(key->secret);
+
+  // Pass 1: every RRSIG, grouped by (owner, covered type). A group's RRSIGs
+  // are chained through `next` in input order.
+  struct Sig {
+    const RrsigData* rrsig;
+    std::uint32_t next;
+  };
+  struct Group {
+    const Name* owner;
+    RRType covered;
+    std::uint32_t first;
+    std::uint32_t last;
+  };
+  constexpr std::uint32_t kEnd = util::FlatHashIndex::kNpos;
+  std::size_t sig_count = 0;
+  for (const auto& s : rrsets) {
+    if (s.type == RRType::kRRSIG) sig_count += s.rdatas.size();
+  }
+  std::vector<Sig> sigs;
+  std::vector<Group> groups;
+  sigs.reserve(sig_count);
+  groups.reserve(sig_count);
+  util::FlatHashIndex index;
+  index.Reserve(sig_count);
+  auto hash_of = [&groups](std::uint32_t g) {
+    return OwnerTypeHash(*groups[g].owner, groups[g].covered);
+  };
+  auto find_group = [&](const Name& owner, RRType covered, std::uint64_t h) {
+    return index.Find(h, [&](std::uint32_t g) {
+      return groups[g].covered == covered && *groups[g].owner == owner;
+    });
+  };
+  for (const auto& s : rrsets) {
+    if (s.type != RRType::kRRSIG) continue;
+    for (const auto& rd : s.rdatas) {
+      const auto& rrsig = std::get<RrsigData>(rd);
+      const auto id = static_cast<std::uint32_t>(sigs.size());
+      sigs.push_back(Sig{&rrsig, kEnd});
+      const std::uint64_t h = OwnerTypeHash(*s.name, rrsig.type_covered);
+      const std::uint32_t g = find_group(*s.name, rrsig.type_covered, h);
+      if (g == kEnd) {
+        index.Insert(h, static_cast<std::uint32_t>(groups.size()), hash_of);
+        groups.push_back(Group{s.name, rrsig.type_covered, id, id});
+      } else {
+        sigs[groups[g].last].next = id;
+        groups[g].last = id;
+      }
+    }
+  }
+
+  // Pass 2: each RRset against its own group's RRSIGs by this key; any one
+  // that verifies is enough.
+  CanonicalWriter writer;
+  std::size_t validated = 0;
+  for (const auto& s : rrsets) {
+    if (s.type == RRType::kRRSIG) continue;
+    const std::uint32_t g =
+        find_group(*s.name, s.type, OwnerTypeHash(*s.name, s.type));
+    if (g == kEnd) return Error("zone: unsigned RRset " + RRsetLabel(s));
+    std::optional<util::Status> failure;  // of the first RRSIG tried
+    bool verified = false;
+    for (std::uint32_t i = groups[g].first; i != kEnd && !verified;
+         i = sigs[i].next) {
+      const RrsigData& rrsig = *sigs[i].rrsig;
+      if (rrsig.key_tag != key_tag || rrsig.algorithm != dnskey.algorithm)
+        continue;
+      util::Status status =
+          CheckRrsigFields(s, rrsig, dnskey.algorithm, key_tag, now);
+      if (status.ok()) status = CheckMac(s, rrsig, mac, writer);
+      verified = status.ok();
+      if (!verified && !failure) failure = std::move(status);
+    }
+    if (!verified) {
+      return Error("zone: " + RRsetLabel(s) + ": " +
+                   (failure ? failure->message()
+                            : "no RRSIG by key tag " + std::to_string(key_tag)));
+    }
+    ++validated;
+  }
+  return validated;
 }
 
 util::Result<std::size_t> ValidateZoneRRsets(const std::vector<RRset>& rrsets,
                                              const DnskeyData& dnskey,
                                              const KeyStore& store,
                                              std::uint32_t now) {
-  // Index RRSIGs by (owner, covered type).
-  struct SigRef {
-    const RRset* owner_set;
-    const RrsigData* sig;
-  };
-  std::vector<SigRef> sigs;
-  for (const auto& s : rrsets) {
-    if (s.type != RRType::kRRSIG) continue;
-    for (const auto& rd : s.rdatas) {
-      sigs.push_back(SigRef{&s, &std::get<RrsigData>(rd)});
-    }
-  }
-  std::size_t validated = 0;
-  for (const auto& s : rrsets) {
-    if (s.type == RRType::kRRSIG) continue;
-    const RrsigData* found = nullptr;
-    for (const auto& ref : sigs) {
-      if (ref.sig->type_covered == s.type && ref.owner_set->name == s.name) {
-        found = ref.sig;
-        break;
-      }
-    }
-    if (found == nullptr)
-      return Error("zone: unsigned RRset " + s.name.ToString() + " " +
-                   dns::RRTypeToString(s.type));
-    auto status = VerifyRRset(s, *found, dnskey, store, now);
-    if (!status.ok())
-      return Error("zone: " + s.name.ToString() + " " +
-                   dns::RRTypeToString(s.type) + ": " + status.message());
-    ++validated;
-  }
-  return validated;
+  std::vector<RRsetView> views;
+  views.reserve(rrsets.size());
+  for (const auto& s : rrsets) views.push_back(RRsetView::Of(s));
+  return ValidateZoneRRsets(views, dnskey, store, now);
 }
 
 }  // namespace rootless::crypto
@@ -309,6 +424,7 @@ util::Status ValidateDenial(const Name& qname,
                             const std::vector<RRset>& authority,
                             const DnskeyData& dnskey, const KeyStore& store,
                             std::uint32_t now, const Name& apex) {
+  const std::uint16_t key_tag = ComputeKeyTag(dnskey);
   for (const auto& s : authority) {
     if (s.type != RRType::kNSEC) continue;
     for (const auto& rd : s.rdatas) {
@@ -320,7 +436,10 @@ util::Status ValidateDenial(const Name& qname,
           continue;
         for (const auto& sig_rd : sig_set.rdatas) {
           const auto& sig = std::get<dns::RrsigData>(sig_rd);
-          if (sig.type_covered != RRType::kNSEC) continue;
+          // The RRSIG made by this key (RFC 4035 §5.3.1).
+          if (sig.type_covered != RRType::kNSEC || sig.key_tag != key_tag ||
+              sig.algorithm != dnskey.algorithm)
+            continue;
           return VerifyRRset(s, sig, dnskey, store, now);
         }
       }

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "crypto/sha256.h"
@@ -48,11 +49,34 @@ SigningKey GenerateKey(std::uint16_t flags, util::Rng& rng);
 // RFC 4034 Appendix B key tag over the DNSKEY RDATA wire form.
 std::uint16_t ComputeKeyTag(const dns::DnskeyData& dnskey);
 
-// RFC 4034 §3.1.8.1 canonical signing form: RRSIG RDATA (minus signature)
-// followed by the canonicalized RRset (owner lowercased, rdatas sorted by
-// wire form, TTL = original_ttl).
-util::Bytes CanonicalSigningForm(const dns::RrsigData& rrsig_template,
-                                 const dns::RRset& rrset);
+// Writes RFC 4034 canonical forms into a buffer it owns and reuses: rdata
+// wire forms go back to back into one scratch buffer and are sorted as
+// spans, so a whole-zone pass allocates only while the buffers grow to the
+// largest RRset. Every canonical RRset form in this library (signing forms
+// and the zone digest input) comes from this one writer. Each returned span
+// is valid until the next call.
+class CanonicalWriter {
+ public:
+  // RFC 4034 §3.1.8.1 signing form: the RRSIG RDATA minus the signature,
+  // then the canonical RRset (owner lowercased, rdatas sorted by wire form,
+  // TTL = original_ttl).
+  std::span<const std::uint8_t> SigningForm(const dns::RrsigData& rrsig,
+                                            const dns::RRsetView& rrset);
+
+  // The canonical RRset alone, under its own TTL.
+  std::span<const std::uint8_t> RRsetForm(const dns::RRsetView& rrset);
+
+ private:
+  void AppendRRset(const dns::RRsetView& rrset, std::uint32_t ttl);
+
+  util::ByteWriter out_;
+  util::ByteWriter rdata_;  // every rdata's wire form, back to back
+  struct RdataSpan {
+    std::uint32_t offset;
+    std::uint32_t size;
+  };
+  std::vector<RdataSpan> spans_;
+};
 
 // Signs an RRset, producing the RRSIG rdata. `signer` is the zone apex name.
 dns::RrsigData SignRRset(const dns::RRset& rrset, const SigningKey& key,
@@ -72,7 +96,8 @@ class KeyStore {
 };
 
 // Verifies a signature made by SignRRset. Checks: algorithm, key tag, signer,
-// validity window (against `now`, unix seconds), and the MAC itself.
+// validity window (against `now`, unix seconds), and the MAC itself. For
+// many RRsets under one key, ValidateZoneRRsets keys the MAC only once.
 util::Status VerifyRRset(const dns::RRset& rrset, const dns::RrsigData& rrsig,
                          const dns::DnskeyData& dnskey, const KeyStore& store,
                          std::uint32_t now);
@@ -91,7 +116,8 @@ bool DsMatchesKey(const dns::DsData& ds, const dns::Name& owner,
 Digest256 ZoneDigest(const std::vector<dns::RRset>& rrsets);
 
 // Signs every RRset in a zone (skipping RRSIGs themselves), appending RRSIG
-// RRsets. Returns the signed zone's RRsets.
+// RRsets. Returns the signed zone's RRsets. The key tag and the keyed MAC
+// state are computed once for the whole call.
 std::vector<dns::RRset> SignZoneRRsets(const std::vector<dns::RRset>& rrsets,
                                        const SigningKey& zsk,
                                        const dns::Name& apex,
@@ -100,6 +126,17 @@ std::vector<dns::RRset> SignZoneRRsets(const std::vector<dns::RRset>& rrsets,
 
 // Validates every RRset in a signed zone against the given DNSKEY + store.
 // Returns the number of validated RRsets, or an error on the first failure.
+//
+// Linear in the zone: one pass indexes every RRSIG by (owner, covered type),
+// a second verifies each RRset against the RRSIGs of its own (owner, type)
+// made by `dnskey` (same key tag and algorithm, RFC 4035 §5.3.1), so a zone
+// signed by two keys validates under either. The KeyStore lookup, key tag
+// and keyed MAC state are resolved once per call; a key the store does not
+// hold fails the whole zone. Input order is free (RRSIGs may follow the
+// data, as SignZoneRRsets appends them).
+util::Result<std::size_t> ValidateZoneRRsets(
+    std::span<const dns::RRsetView> rrsets, const dns::DnskeyData& dnskey,
+    const KeyStore& store, std::uint32_t now);
 util::Result<std::size_t> ValidateZoneRRsets(
     const std::vector<dns::RRset>& rrsets, const dns::DnskeyData& dnskey,
     const KeyStore& store, std::uint32_t now);

@@ -1,7 +1,6 @@
 #include "crypto/sha256.h"
 
 #include <cstring>
-#include <vector>
 
 namespace rootless::crypto {
 
@@ -98,16 +97,15 @@ Sha256& Sha256::Update(std::string_view data) {
 }
 
 Digest256 Sha256::Finish() {
+  // 0x80, zeros up to 56 mod 64, then the 64-bit big-endian bit length: one
+  // Update of 9..72 bytes.
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad = 0x80;
-  Update(std::span<const std::uint8_t>(&pad, 1));
-  const std::uint8_t zero = 0;
-  while (buffer_len_ != 56) Update(std::span<const std::uint8_t>(&zero, 1));
-  std::uint8_t len_bytes[8];
+  std::uint8_t pad[72] = {0x80};
+  const std::size_t zeros = (buffer_len_ < 56 ? 55 : 119) - buffer_len_;
   for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+    pad[1 + zeros + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-  Update(std::span<const std::uint8_t>(len_bytes, 8));
+  Update(std::span<const std::uint8_t>(pad, zeros + 9));
 
   Digest256 out;
   for (int i = 0; i < 8; ++i) {
@@ -131,13 +129,12 @@ Digest256 Sha256::Hash(std::string_view data) {
   return h.Finish();
 }
 
-Digest256 HmacSha256(std::span<const std::uint8_t> key,
-                     std::span<const std::uint8_t> message) {
+HmacSha256Key::HmacSha256Key(std::span<const std::uint8_t> key) {
   std::array<std::uint8_t, 64> k{};
   if (key.size() > 64) {
     const Digest256 kh = Sha256::Hash(key);
     std::memcpy(k.data(), kh.data(), kh.size());
-  } else {
+  } else if (!key.empty()) {
     std::memcpy(k.data(), key.data(), key.size());
   }
   std::array<std::uint8_t, 64> ipad, opad;
@@ -145,14 +142,22 @@ Digest256 HmacSha256(std::span<const std::uint8_t> key,
     ipad[i] = k[i] ^ 0x36;
     opad[i] = k[i] ^ 0x5c;
   }
-  Sha256 inner;
-  inner.Update(ipad);
+  inner_.Update(ipad);
+  outer_.Update(opad);
+}
+
+Digest256 HmacSha256Key::Mac(std::span<const std::uint8_t> message) const {
+  Sha256 inner = inner_;
   inner.Update(message);
   const Digest256 inner_digest = inner.Finish();
-  Sha256 outer;
-  outer.Update(opad);
+  Sha256 outer = outer_;
   outer.Update(inner_digest);
   return outer.Finish();
+}
+
+Digest256 HmacSha256(std::span<const std::uint8_t> key,
+                     std::span<const std::uint8_t> message) {
+  return HmacSha256Key(key).Mac(message);
 }
 
 }  // namespace rootless::crypto

@@ -18,7 +18,8 @@ class Sha256 {
   Sha256& Update(std::span<const std::uint8_t> data);
   Sha256& Update(std::string_view data);
 
-  // Finalizes and returns the digest. The object must not be reused after.
+  // Finalizes and returns the digest. The object must not be reused after;
+  // copy it first to keep a midstate (HmacSha256Key does).
   Digest256 Finish();
 
   static Digest256 Hash(std::span<const std::uint8_t> data);
@@ -33,7 +34,22 @@ class Sha256 {
   std::uint64_t total_len_ = 0;
 };
 
-// HMAC-SHA256 (RFC 2104).
+// HMAC-SHA256 (RFC 2104) with the key schedule done once: holds the
+// SHA-256 midstates after the ipad and opad blocks, so each Mac() costs only
+// the message blocks plus two finishing blocks. Build one per key and reuse
+// it for every message signed or verified under that key.
+class HmacSha256Key {
+ public:
+  explicit HmacSha256Key(std::span<const std::uint8_t> key);
+
+  Digest256 Mac(std::span<const std::uint8_t> message) const;
+
+ private:
+  Sha256 inner_;  // after absorbing key ^ ipad
+  Sha256 outer_;  // after absorbing key ^ opad
+};
+
+// One-shot HMAC-SHA256 (RFC 2104).
 Digest256 HmacSha256(std::span<const std::uint8_t> key,
                      std::span<const std::uint8_t> message);
 

@@ -49,17 +49,18 @@ std::vector<util::Bytes> BuildAxfrStream(const zone::ZoneSnapshot& snapshot,
 }
 
 util::Result<zone::SnapshotPtr> AssembleAxfrStream(
-    std::span<const util::Bytes> messages) {
+    std::vector<dns::Message> messages) {
+  std::size_t total = 0;
+  for (const auto& msg : messages) total += msg.answers.size();
   std::vector<dns::ResourceRecord> records;
-  for (const auto& wire : messages) {
-    auto msg = dns::DecodeMessage(wire);
-    if (!msg.ok()) return msg.error();
-    if (msg->header.rcode != dns::RCode::kNoError) {
+  records.reserve(total);
+  for (auto& msg : messages) {
+    if (msg.header.rcode != dns::RCode::kNoError) {
       return Error(ErrorCode::kProtocol,
                    "axfr: server answered " +
-                       dns::RCodeToString(msg->header.rcode));
+                       dns::RCodeToString(msg.header.rcode));
     }
-    for (auto& rr : msg->answers) records.push_back(std::move(rr));
+    for (auto& rr : msg.answers) records.push_back(std::move(rr));
   }
   if (records.size() < 2) {
     return Error(ErrorCode::kProtocol, "axfr: stream too short");

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "dns/message.h"
@@ -32,12 +31,13 @@ std::vector<util::Bytes> BuildAxfrStream(const zone::ZoneSnapshot& snapshot,
                                          const dns::Message& query,
                                          std::size_t records_per_message = 100);
 
-// Decodes and validates a transfer stream: every message must parse with
-// rcode NOERROR, the record sequence must open and close with the same SOA
-// (serial included). Returns the rebuilt snapshot. Error codes: kCorrupted
-// for undecodable messages, kProtocol for a broken SOA bracket or an error
-// rcode.
+// Validates a decoded transfer stream: every message must carry rcode
+// NOERROR, the record sequence must open and close with the same SOA
+// (serial included). Returns the rebuilt snapshot. Error code: kProtocol
+// for a broken SOA bracket or an error rcode. The receiver decodes each
+// frame once (it must, to see the closing SOA) and hands the messages over
+// by value, so their records are moved, not copied.
 util::Result<zone::SnapshotPtr> AssembleAxfrStream(
-    std::span<const util::Bytes> messages);
+    std::vector<dns::Message> messages);
 
 }  // namespace rootless::distrib

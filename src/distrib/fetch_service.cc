@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "zone/sign.h"
 #include "zone/snapshot.h"
 
 namespace rootless::distrib {
@@ -71,8 +72,8 @@ void ZoneFetchService::Attempt(std::shared_ptr<sim::RetrySchedule> schedule,
     if (verify) {
       const obs::SpanId vspan =
           ROOTLESS_SPAN_START(sim_.tracer(), "distrib.verify", span);
-      auto validated = crypto::ValidateZoneRRsets(
-          z->AllRRsets(), dnskey_, store_, config_.validation_now);
+      auto validated = zone::ValidateSignedZone(*z, dnskey_, store_,
+                                                config_.validation_now);
       ROOTLESS_SPAN_END(sim_.tracer(), vspan);
       if (!validated.ok()) {
         validation_failures_.Inc();

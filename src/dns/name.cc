@@ -144,13 +144,20 @@ void Name::EncodeWire(util::ByteWriter& writer) const {
   writer.WriteU8(0);
 }
 
-util::Bytes Name::CanonicalWire() const {
-  util::Bytes out(size_ + std::size_t{1});
+void Name::EncodeCanonicalWire(util::ByteWriter& writer) const {
+  std::uint8_t folded[kMaxFlatBytes + 1];
   // Length octets are <= 63 and thus outside 'A'..'Z': folding the whole
   // buffer blindly is safe.
-  util::simd::FoldCopy(out.data(), data(), size_);
-  out[size_] = 0;
-  return out;
+  util::simd::FoldCopy(folded, data(), size_);
+  folded[size_] = 0;
+  writer.WriteBytes(std::span<const std::uint8_t>(folded, size_ + 1));
+}
+
+util::Bytes Name::CanonicalWire() const {
+  util::ByteWriter writer;
+  writer.Reserve(wire_length());
+  EncodeCanonicalWire(writer);
+  return writer.TakeData();
 }
 
 std::size_t Name::LabelOffsets(std::uint8_t* offsets) const {

@@ -114,7 +114,8 @@ class Name {
   void EncodeWire(util::ByteWriter& writer) const;
 
   // Canonical (lowercase) uncompressed wire form, for DNSSEC signing and
-  // ordering (RFC 4034 §6).
+  // ordering (RFC 4034 §6). The Encode form appends it without allocating.
+  void EncodeCanonicalWire(util::ByteWriter& writer) const;
   util::Bytes CanonicalWire() const;
 
   std::size_t label_count() const { return label_count_; }

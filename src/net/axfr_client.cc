@@ -155,8 +155,9 @@ util::Result<zone::SnapshotPtr> FetchZoneTcp(const std::string& host,
       dns::MakeQuery(0xAFF, dns::Name(), dns::RRType::kAXFR);
   ROOTLESS_RETURN_IF_ERROR(SendFrame(sock.get(), dns::EncodeMessage(axfr)));
 
-  // Read messages until the record stream closes with the second SOA.
-  std::vector<util::Bytes> messages;
+  // Read messages until the record stream closes with the second SOA. Each
+  // frame is decoded once, here; the assembler takes the decoded messages.
+  std::vector<dns::Message> messages;
   std::size_t soa_seen = 0;
   while (soa_seen < 2) {
     auto frame = RecvFrame(sock.get());
@@ -171,12 +172,12 @@ util::Result<zone::SnapshotPtr> FetchZoneTcp(const std::string& host,
     for (const auto& rr : msg->answers) {
       if (rr.type == dns::RRType::kSOA) ++soa_seen;
     }
-    messages.push_back(std::move(*frame));
+    messages.push_back(std::move(*msg));
     if (messages.size() > 1u << 20) {
       return Error(ErrorCode::kProtocol, "axfr: unbounded stream");
     }
   }
-  return distrib::AssembleAxfrStream(messages);
+  return distrib::AssembleAxfrStream(std::move(messages));
 }
 
 }  // namespace rootless::net

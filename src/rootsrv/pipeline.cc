@@ -144,7 +144,11 @@ std::uint32_t AnswerCacheStage::FindSlot(const WireKey& key,
            e.echo_opt == key.echo_opt &&
            e.payload_limit == key.payload_limit &&
            e.name.size() == key.qname.size() &&
-           std::memcmp(e.name.data(), key.qname.data(), key.qname.size()) == 0;
+           // The root qname is empty and its data() may be null, which
+           // memcmp must not see even with a zero length.
+           (key.qname.empty() ||
+            std::memcmp(e.name.data(), key.qname.data(), key.qname.size()) ==
+                0);
   });
 }
 

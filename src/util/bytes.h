@@ -129,6 +129,8 @@ class ByteWriter {
   const Bytes& data() const& { return data_; }
   Bytes&& TakeData() { return std::move(data_); }
   void Reserve(std::size_t n) { data_.reserve(n); }
+  // Empties the buffer, keeping its capacity for reuse.
+  void Clear() { data_.clear(); }
   std::span<const std::uint8_t> span() const { return data_; }
 
   void WriteU8(std::uint8_t v) { data_.push_back(v); }

@@ -32,8 +32,23 @@ util::Result<std::size_t> ValidateSignedZone(const Zone& signed_zone,
                                              const dns::DnskeyData& dnskey,
                                              const crypto::KeyStore& store,
                                              std::uint32_t now) {
-  return crypto::ValidateZoneRRsets(signed_zone.AllRRsets(), dnskey, store,
-                                    now);
+  std::vector<dns::RRsetView> views;
+  views.reserve(signed_zone.rrset_count());
+  for (const auto& [key, rrset] : signed_zone.rrset_map()) {
+    views.push_back(dns::RRsetView::Of(rrset));
+  }
+  return crypto::ValidateZoneRRsets(views, dnskey, store, now);
+}
+
+util::Result<std::size_t> ValidateSignedZone(const ZoneSnapshot& signed_zone,
+                                             const dns::DnskeyData& dnskey,
+                                             const crypto::KeyStore& store,
+                                             std::uint32_t now) {
+  std::vector<dns::RRsetView> views;
+  views.reserve(signed_zone.rrset_count());
+  signed_zone.ForEachRRset(
+      [&views](const dns::RRsetView& view) { views.push_back(view); });
+  return crypto::ValidateZoneRRsets(views, dnskey, store, now);
 }
 
 }  // namespace rootless::zone

@@ -6,6 +6,7 @@
 
 #include "crypto/dnssec.h"
 #include "zone/zone.h"
+#include "zone/zone_snapshot.h"
 
 namespace rootless::zone {
 
@@ -20,8 +21,14 @@ Zone SignZone(const Zone& plain, const crypto::SigningKey& zsk,
               const SigningWindow& window);
 
 // Validates a signed zone produced by SignZone: every RRset signed and
-// verifiable. Returns validated RRset count.
+// verifiable. Returns validated RRset count. Both forms validate borrowed
+// views of the zone's RRsets in place (crypto::ValidateZoneRRsets); neither
+// copies the zone.
 util::Result<std::size_t> ValidateSignedZone(const Zone& signed_zone,
+                                             const dns::DnskeyData& dnskey,
+                                             const crypto::KeyStore& store,
+                                             std::uint32_t now);
+util::Result<std::size_t> ValidateSignedZone(const ZoneSnapshot& signed_zone,
                                              const dns::DnskeyData& dnskey,
                                              const crypto::KeyStore& store,
                                              std::uint32_t now);

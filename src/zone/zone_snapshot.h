@@ -96,8 +96,8 @@ class ZoneSnapshot {
   void ForEachRRset(
       const std::function<void(const dns::RRsetView&)>& fn) const;
 
-  // Materialized copies, canonical order — cold paths only (crypto
-  // validation, serialization compat).
+  // Materialized copies, canonical order — cold paths only (zone digest,
+  // serialization compat). Validation reads ForEachRRset's views instead.
   std::vector<dns::RRset> AllRRsets() const;
 
   // Deep copy back into the mutable Zone form (cold path).

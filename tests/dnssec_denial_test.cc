@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
 #include "crypto/dnssec.h"
 #include "resolver/recursive.h"
@@ -12,6 +13,7 @@
 #include "topo/topology.h"
 #include "zone/evolution.h"
 #include "zone/sign.h"
+#include "zone/zone_snapshot.h"
 
 namespace rootless {
 namespace {
@@ -138,6 +140,70 @@ TEST(SignedZone, DenialForNameBeforeFirstOwner) {
   auto status = crypto::ValidateDenial(N("aa."), result.authority,
                                        env.zsk.dnskey, env.store, 5000);
   EXPECT_TRUE(status.ok()) << status.message();
+}
+
+TEST(SignedZone, SnapshotValidatesLikeTheZone) {
+  SignedEnv env;
+  const auto snapshot = zone::ZoneSnapshot::Build(env.signed_zone);
+  auto from_zone = zone::ValidateSignedZone(env.signed_zone, env.zsk.dnskey,
+                                            env.store, 5000);
+  auto from_snapshot =
+      zone::ValidateSignedZone(*snapshot, env.zsk.dnskey, env.store, 5000);
+  ASSERT_TRUE(from_zone.ok()) << from_zone.error().message();
+  ASSERT_TRUE(from_snapshot.ok()) << from_snapshot.error().message();
+  EXPECT_EQ(*from_zone, *from_snapshot);
+  std::size_t data_rrsets = 0;
+  for (const auto& [key, rrset] : env.signed_zone.rrset_map()) {
+    if (key.type != RRType::kRRSIG) ++data_rrsets;
+  }
+  EXPECT_EQ(*from_zone, data_rrsets);
+}
+
+TEST(SignedZone, FullRootZoneModelValidatesEveryRRset) {
+  // The model root zone of 2018-04-11, signed: 22,553 data RRsets (SOA, NS,
+  // DNSKEY and NSEC at the apex, and NS, DS, NSEC and glue below it).
+  util::Rng rng(0xD15EC);
+  const crypto::SigningKey zsk = crypto::GenerateKey(crypto::kZskFlags, rng);
+  crypto::KeyStore store;
+  store.AddKey(zsk);
+  const zone::RootZoneModel model;
+  const zone::Zone signed_zone =
+      zone::SignZone(model.Snapshot({2018, 4, 11}), zsk, {0, 0xFFFFFFFF});
+  auto validated =
+      zone::ValidateSignedZone(signed_zone, zsk.dnskey, store, 1000);
+  ASSERT_TRUE(validated.ok()) << validated.error().message();
+  EXPECT_EQ(*validated, 22553u);
+  auto from_snapshot = zone::ValidateSignedZone(
+      *zone::ZoneSnapshot::Build(signed_zone), zsk.dnskey, store, 1000);
+  ASSERT_TRUE(from_snapshot.ok()) << from_snapshot.error().message();
+  EXPECT_EQ(*from_snapshot, 22553u);
+  // Untrusted: the same zone against an empty store.
+  EXPECT_FALSE(zone::ValidateSignedZone(signed_zone, zsk.dnskey,
+                                        crypto::KeyStore(), 1000)
+                   .ok());
+}
+
+TEST(ValidateDenial, PicksTheRrsigOfTheValidatingKey) {
+  // A double-signed NSEC (ZSK rollover) proves denial under either key.
+  SignedEnv env;
+  util::Rng rng(77);
+  const crypto::SigningKey next = crypto::GenerateKey(crypto::kZskFlags, rng);
+  env.store.AddKey(next);
+  auto authority = env.signed_zone.Lookup(N("foo.bogus."), RRType::kA, true)
+                       .authority;
+  for (auto& set : authority) {
+    if (set.type != RRType::kRRSIG) continue;
+    const RRset* covered = env.signed_zone.Find(
+        set.name, std::get<dns::RrsigData>(set.rdatas.front()).type_covered);
+    ASSERT_NE(covered, nullptr);
+    set.rdatas.push_back(
+        dns::Rdata(crypto::SignRRset(*covered, next, Name(), 0, 100000)));
+  }
+  for (const crypto::SigningKey* key : {&std::as_const(env.zsk), &next}) {
+    auto status = crypto::ValidateDenial(N("foo.bogus."), authority,
+                                         key->dnskey, env.store, 5000);
+    EXPECT_TRUE(status.ok()) << status.message();
+  }
 }
 
 TEST(ValidateDenial, RejectsSpoofedNxdomain) {

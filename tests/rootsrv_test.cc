@@ -308,6 +308,22 @@ TEST(AuthServerCache, DistinguishesEveryKeyDimension) {
   EXPECT_EQ(decoded->questions.front().name.ToString(), "WWW.BIG.");
 }
 
+TEST(AuthServerCache, RootNameQueriesHitTheCache) {
+  // The root qname is empty on the wire-key path; its cache probe must not
+  // hand memcmp a null pointer (the sanitizer builds catch it if it does).
+  Fixture f;
+  AuthServer server(f.net, f.root_zone);
+  for (const RRType type : {RRType::kSOA, RRType::kNS}) {
+    const auto first = server.AnswerWire(dns::MakeQuery(0x1111, Name(), type));
+    const auto second =
+        server.AnswerWire(dns::MakeQuery(0x2222, Name(), type));
+    ASSERT_EQ(first.size(), second.size());
+    EXPECT_TRUE(
+        std::equal(first.begin() + 2, first.end(), second.begin() + 2));
+  }
+  EXPECT_EQ(server.stats().cache_hits, 2u);
+}
+
 TEST(AuthServerCache, SetZoneInvalidates) {
   Fixture f;
   AuthServer server(f.net, f.root_zone);
