@@ -136,19 +136,71 @@ void EncodeViewRecord(const RRsetView& set, const Rdata& rdata,
   w.PatchU16(len_offset, static_cast<std::uint16_t>(w.size() - start));
 }
 
-// Emits the first `limit` records of a section of RRset views (each view
-// expands to one record per rdata, in rdata order).
-void EncodeViewSection(const std::vector<RRsetView>& sets, std::size_t limit,
-                       NameCompressor& compressor, util::ByteWriter& w) {
-  std::size_t emitted = 0;
-  for (const auto& set : sets) {
-    for (const auto& rd : set.rdatas) {
-      if (emitted == limit) return;
-      EncodeViewRecord(set, rd, compressor, w);
-      ++emitted;
+// Writes a response in one pass and truncates it by cutting the wire.
+// Compression pointers only point backwards, so the encoding of the first k
+// records is a byte prefix of the full encoding. Dropping whole records from
+// the back (additional, then authority, then answers) until the datagram
+// fits therefore equals cutting at the last record boundary that fits:
+// records are added in wire order, the end of each one that fits is
+// remembered, and the first one that does not ends the encode.
+class TruncatingEncoder {
+ public:
+  TruncatingEncoder(const Header& header, const std::vector<Question>& qs,
+                    std::size_t an, std::size_t ns, std::size_t ar,
+                    std::size_t max_size)
+      : max_size_(max_size) {
+    w_.Reserve(max_size ? max_size : 512);
+    Header h = header;
+    h.tc = false;
+    EncodeHeader(h, static_cast<std::uint16_t>(qs.size()),
+                 static_cast<std::uint16_t>(an), static_cast<std::uint16_t>(ns),
+                 static_cast<std::uint16_t>(ar), w_);
+    for (const auto& q : qs) {
+      compressor_.EncodeName(q.name, w_);
+      w_.WriteU16(static_cast<std::uint16_t>(q.type));
+      w_.WriteU16(static_cast<std::uint16_t>(q.rrclass));
     }
+    fit_size_ = w_.size();
   }
-}
+
+  NameCompressor& compressor() { return compressor_; }
+  util::ByteWriter& writer() { return w_; }
+
+  // Closes the record just written into `section` (0 = answer, 1 =
+  // authority, 2 = additional). Returns false once the message overflows
+  // max_size; the caller then stops adding records.
+  bool EndRecord(std::size_t section) {
+    if (max_size_ != 0 && w_.size() > max_size_) {
+      overflow_ = true;
+      return false;
+    }
+    ++fit_[section];
+    fit_size_ = w_.size();
+    return true;
+  }
+
+  // Only a record can overflow: a message without records is returned
+  // whole, even when its header and questions alone exceed max_size.
+  util::Bytes Finish() {
+    if (!overflow_) return w_.TakeData();
+    util::Bytes wire = w_.TakeData();
+    wire.resize(fit_size_);
+    wire[2] |= 0x02;  // TC
+    for (std::size_t s = 0; s < 3; ++s) {
+      wire[6 + 2 * s] = static_cast<std::uint8_t>(fit_[s] >> 8);
+      wire[7 + 2 * s] = static_cast<std::uint8_t>(fit_[s]);
+    }
+    return wire;
+  }
+
+ private:
+  util::ByteWriter w_;
+  NameCompressor compressor_;
+  std::size_t max_size_;
+  std::size_t fit_size_ = 0;
+  std::size_t fit_[3] = {0, 0, 0};
+  bool overflow_ = false;
+};
 
 std::size_t SectionRecordCount(const std::vector<RRsetView>& sets) {
   std::size_t n = 0;
@@ -161,88 +213,35 @@ std::size_t SectionRecordCount(const std::vector<RRsetView>& sets) {
 std::size_t Message::WireSize() const { return EncodeMessage(*this).size(); }
 
 util::Bytes EncodeMessage(const Message& m, std::size_t max_size) {
-  // First pass: encode everything; if it does not fit, re-encode dropping
-  // records section-by-section from the back and set TC.
-  auto encode = [&](std::size_t an, std::size_t ns, std::size_t ar,
-                    bool tc) -> util::Bytes {
-    util::ByteWriter w;
-    w.Reserve(max_size ? max_size : 512);
-    Header h = m.header;
-    h.tc = tc;
-    EncodeHeader(h, static_cast<std::uint16_t>(m.questions.size()),
-                 static_cast<std::uint16_t>(an), static_cast<std::uint16_t>(ns),
-                 static_cast<std::uint16_t>(ar), w);
-    NameCompressor compressor;
-    for (const auto& q : m.questions) {
-      compressor.EncodeName(q.name, w);
-      w.WriteU16(static_cast<std::uint16_t>(q.type));
-      w.WriteU16(static_cast<std::uint16_t>(q.rrclass));
+  TruncatingEncoder enc(m.header, m.questions, m.answers.size(),
+                        m.authority.size(), m.additional.size(), max_size);
+  const std::vector<ResourceRecord>* sections[] = {&m.answers, &m.authority,
+                                                   &m.additional};
+  for (std::size_t s = 0; s < 3; ++s) {
+    for (const auto& rr : *sections[s]) {
+      EncodeRecord(rr, enc.compressor(), enc.writer());
+      if (!enc.EndRecord(s)) return enc.Finish();
     }
-    for (std::size_t i = 0; i < an; ++i)
-      EncodeRecord(m.answers[i], compressor, w);
-    for (std::size_t i = 0; i < ns; ++i)
-      EncodeRecord(m.authority[i], compressor, w);
-    for (std::size_t i = 0; i < ar; ++i)
-      EncodeRecord(m.additional[i], compressor, w);
-    return w.TakeData();
-  };
-
-  util::Bytes wire =
-      encode(m.answers.size(), m.authority.size(), m.additional.size(), false);
-  if (max_size == 0 || wire.size() <= max_size) return wire;
-
-  // Drop additional, then authority, then answers until it fits.
-  std::size_t an = m.answers.size(), ns = m.authority.size(),
-              ar = m.additional.size();
-  while (an + ns + ar > 0) {
-    if (ar > 0) --ar;
-    else if (ns > 0) --ns;
-    else --an;
-    wire = encode(an, ns, ar, true);
-    if (wire.size() <= max_size) return wire;
   }
-  return wire;  // header + questions only, TC set
+  return enc.Finish();
 }
 
 util::Bytes EncodeMessage(const MessageView& m, std::size_t max_size) {
-  // Mirrors the owning-Message overload: encode everything, then drop whole
-  // records back-to-front (additional → authority → answers) with TC set
-  // until the datagram fits.
-  auto encode = [&](std::size_t an, std::size_t ns, std::size_t ar,
-                    bool tc) -> util::Bytes {
-    util::ByteWriter w;
-    w.Reserve(max_size ? max_size : 512);
-    Header h = m.header;
-    h.tc = tc;
-    EncodeHeader(h, static_cast<std::uint16_t>(m.questions.size()),
-                 static_cast<std::uint16_t>(an), static_cast<std::uint16_t>(ns),
-                 static_cast<std::uint16_t>(ar), w);
-    NameCompressor compressor;
-    for (const auto& q : m.questions) {
-      compressor.EncodeName(q.name, w);
-      w.WriteU16(static_cast<std::uint16_t>(q.type));
-      w.WriteU16(static_cast<std::uint16_t>(q.rrclass));
+  // Each view expands to one record per rdata, in rdata order.
+  TruncatingEncoder enc(m.header, m.questions, SectionRecordCount(m.answers),
+                        SectionRecordCount(m.authority),
+                        SectionRecordCount(m.additional), max_size);
+  const std::vector<RRsetView>* sections[] = {&m.answers, &m.authority,
+                                              &m.additional};
+  for (std::size_t s = 0; s < 3; ++s) {
+    for (const auto& set : *sections[s]) {
+      for (const auto& rd : set.rdatas) {
+        EncodeViewRecord(set, rd, enc.compressor(), enc.writer());
+        if (!enc.EndRecord(s)) return enc.Finish();
+      }
     }
-    EncodeViewSection(m.answers, an, compressor, w);
-    EncodeViewSection(m.authority, ns, compressor, w);
-    EncodeViewSection(m.additional, ar, compressor, w);
-    return w.TakeData();
-  };
-
-  std::size_t an = SectionRecordCount(m.answers);
-  std::size_t ns = SectionRecordCount(m.authority);
-  std::size_t ar = SectionRecordCount(m.additional);
-  util::Bytes wire = encode(an, ns, ar, false);
-  if (max_size == 0 || wire.size() <= max_size) return wire;
-
-  while (an + ns + ar > 0) {
-    if (ar > 0) --ar;
-    else if (ns > 0) --ns;
-    else --an;
-    wire = encode(an, ns, ar, true);
-    if (wire.size() <= max_size) return wire;
   }
-  return wire;  // header + questions only, TC set
+  return enc.Finish();
 }
 
 Result<Message> DecodeMessage(std::span<const std::uint8_t> wire) {

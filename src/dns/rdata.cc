@@ -122,10 +122,9 @@ std::string Ipv6::ToString() const {
 
 namespace {
 
-void EncodeTypeBitmap(const std::vector<RRType>& types, util::ByteWriter& w) {
+void EncodeSortedTypeBitmap(std::span<const RRType> sorted,
+                            util::ByteWriter& w) {
   // RFC 4034 §4.1.2 window-block encoding.
-  std::vector<RRType> sorted = types;
-  std::sort(sorted.begin(), sorted.end());
   std::size_t i = 0;
   while (i < sorted.size()) {
     const std::uint8_t window =
@@ -144,6 +143,18 @@ void EncodeTypeBitmap(const std::vector<RRType>& types, util::ByteWriter& w) {
     w.WriteU8(static_cast<std::uint8_t>(maxbyte + 1));
     for (int b = 0; b <= maxbyte; ++b) w.WriteU8(bitmap[b]);
   }
+}
+
+void EncodeTypeBitmap(const std::vector<RRType>& types, util::ByteWriter& w) {
+  // Zone-built NSEC type lists are already sorted: encode them in place and
+  // sort a copy only for hand-built, unsorted input.
+  if (std::is_sorted(types.begin(), types.end())) {
+    EncodeSortedTypeBitmap(types, w);
+    return;
+  }
+  std::vector<RRType> sorted = types;
+  std::sort(sorted.begin(), sorted.end());
+  EncodeSortedTypeBitmap(sorted, w);
 }
 
 Result<std::vector<RRType>> DecodeTypeBitmap(util::ByteReader& r,

@@ -102,12 +102,34 @@ ZoneSnapshot::Entry ZoneSnapshot::MakeEntry(const Page& page, std::size_t i) {
 }
 
 void ZoneSnapshot::FinishInit() {
+  // An owner's RRsets are contiguous in canonical order: index each owner
+  // once, at its first entry. The table is sized to the owner count.
+  std::vector<std::uint32_t> runs;
   record_count_ = 0;
-  for (const auto& e : index_) record_count_ += e.set->rdata_count;
-  serial_ = 0;
-  if (const Entry* s = FindEntry(apex_, RRType::kSOA);
-      s != nullptr && s->set->rdata_count > 0) {
-    serial_ = std::get<dns::SoaData>(s->rdatas[0]).serial;
+  for (std::size_t i = 0; i < index_.size(); ++i) {
+    record_count_ += index_[i].set->rdata_count;
+    if (i == 0 || !(index_[i].set->name == index_[i - 1].set->name)) {
+      runs.push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+  owners_.Reserve(runs.size());
+  const auto hash_of = [this](std::uint32_t pos) {
+    return index_[pos].set->name.Hash();
+  };
+  for (const std::uint32_t pos : runs) {
+    owners_.Insert(hash_of(pos), pos, hash_of);
+  }
+
+  soa_ = FindEntry(apex_, RRType::kSOA);
+  serial_ = soa_ != nullptr && soa_->set->rdata_count > 0
+                ? std::get<dns::SoaData>(soa_->rdatas[0]).serial
+                : 0;
+  last_nsec_ = nullptr;
+  for (auto it = index_.rbegin(); it != index_.rend(); ++it) {
+    if (it->set->type == RRType::kNSEC) {
+      last_nsec_ = &*it;
+      break;
+    }
   }
 }
 
@@ -243,28 +265,31 @@ util::Result<SnapshotPtr> ZoneSnapshot::Apply(const SnapshotPtr& base,
   return SnapshotPtr(std::move(snap));
 }
 
-const ZoneSnapshot::Entry* ZoneSnapshot::FindEntry(const Name& name,
+const ZoneSnapshot::Entry* ZoneSnapshot::FindOwner(const dns::NameView& name,
+                                                   std::size_t hash) const {
+  const std::uint32_t pos = owners_.Find(
+      hash, [&](std::uint32_t p) { return index_[p].set->name == name; });
+  return pos == util::FlatHashIndex::kNpos ? nullptr : &index_[pos];
+}
+
+const ZoneSnapshot::Entry* ZoneSnapshot::FindInRun(const Entry* run,
                                                    RRType type) const {
-  auto it = std::lower_bound(
-      index_.begin(), index_.end(), nullptr, [&](const Entry& e, std::nullptr_t) {
-        return CompareKey(e.set->name, e.set->type, e.set->rrclass, name, type,
-                          dns::RRClass::kIN) < 0;
-      });
-  if (it == index_.end()) return nullptr;
-  if (it->set->type != type || it->set->rrclass != dns::RRClass::kIN ||
-      !(it->set->name == name)) {
-    return nullptr;
+  // Scans forward from `run` through its owner's entries, which are sorted
+  // by type, so the scan stops at the first type past the one wanted.
+  if (run == nullptr) return nullptr;
+  const Entry* const end = index_.data() + index_.size();
+  for (const Entry* e = run;
+       e != end && e->set->type <= type && e->set->name == run->set->name;
+       ++e) {
+    if (e->set->type == type && e->set->rrclass == dns::RRClass::kIN) {
+      return e;
+    }
   }
-  return &*it;
+  return nullptr;
 }
 
 bool ZoneSnapshot::HasName(const Name& name) const {
-  auto it = std::lower_bound(
-      index_.begin(), index_.end(), nullptr, [&](const Entry& e, std::nullptr_t) {
-        return CompareKey(e.set->name, e.set->type, e.set->rrclass, name,
-                          static_cast<RRType>(0), dns::RRClass::kIN) < 0;
-      });
-  return it != index_.end() && it->set->name == name;
+  return FindOwner(name) != nullptr;
 }
 
 std::optional<RRsetView> ZoneSnapshot::Find(const Name& name,
@@ -275,39 +300,45 @@ std::optional<RRsetView> ZoneSnapshot::Find(const Name& name,
 }
 
 std::optional<RRsetView> ZoneSnapshot::soa() const {
-  return Find(apex_, RRType::kSOA);
+  if (soa_ == nullptr) return std::nullopt;
+  return ViewOf(*soa_);
 }
 
 const ZoneSnapshot::Entry* ZoneSnapshot::FindDelegation(
     const Name& name) const {
   if (!name.IsSubdomainOf(apex_) || name == apex_) return nullptr;
-  Name current = name;
-  const Entry* found = nullptr;
-  while (current != apex_) {
-    const Entry* ns = FindEntry(current, RRType::kNS);
-    // Keep the *highest* (closest-to-apex) delegation point below the apex:
-    // a zone cut hides everything beneath it.
-    if (ns != nullptr) found = ns;
-    if (current.is_root()) break;
-    current = current.Parent();
+  // Probe each ancestor from just below the apex downward: the first NS
+  // found is the *highest* delegation point, and a zone cut hides
+  // everything beneath it.
+  for (std::size_t n = apex_.label_count() + 1; n <= name.label_count();
+       ++n) {
+    const dns::NameView suffix = name.SuffixView(n);
+    const std::size_t hash =
+        n == name.label_count() ? name.Hash() : suffix.Hash();
+    if (const Entry* ns = FindInRun(FindOwner(suffix, hash), RRType::kNS)) {
+      return ns;
+    }
   }
-  return found;
+  return nullptr;
 }
 
 void ZoneSnapshot::AppendGlue(const RRsetView& ns_set, LookupView& out) const {
   for (const auto& rd : ns_set.rdatas) {
     const Name& target = std::get<NsData>(rd).nameserver;
     if (!target.IsSubdomainOf(apex_)) continue;
-    if (auto a = Find(target, RRType::kA)) out.additional.push_back(*a);
-    if (auto aaaa = Find(target, RRType::kAAAA)) {
-      out.additional.push_back(*aaaa);
+    const Entry* host = FindOwner(target);
+    if (const Entry* a = FindInRun(host, RRType::kA)) {
+      out.additional.push_back(ViewOf(*a));
+    }
+    if (const Entry* aaaa = FindInRun(host, RRType::kAAAA)) {
+      out.additional.push_back(ViewOf(*aaaa));
     }
   }
 }
 
-void ZoneSnapshot::AppendRrsig(const Name& name, RRType covered,
+void ZoneSnapshot::AppendRrsig(const Entry* run, RRType covered,
                                std::vector<RRsetView>& out) const {
-  const Entry* sigs = FindEntry(name, RRType::kRRSIG);
+  const Entry* sigs = FindInRun(run, RRType::kRRSIG);
   if (sigs == nullptr) return;
   for (std::uint32_t i = 0; i < sigs->set->sig_count; ++i) {
     const SigGroup& g = sigs->sig_groups[i];
@@ -340,42 +371,45 @@ void ZoneSnapshot::Lookup(const Name& qname, RRType qtype, bool include_dnssec,
     out.authority.push_back(ViewOf(*delegation));
     if (include_dnssec) {
       // DS proves (or its absence disproves) the child's chain of trust.
-      if (auto ds = Find(delegation->set->name, RRType::kDS)) {
-        out.authority.push_back(*ds);
-        AppendRrsig(delegation->set->name, RRType::kDS, out.authority);
+      // DS and RRSIG sort after NS in the cut's owner run.
+      if (const Entry* ds = FindInRun(delegation, RRType::kDS)) {
+        out.authority.push_back(ViewOf(*ds));
+        AppendRrsig(ds, RRType::kDS, out.authority);
       }
     }
     AppendGlue(out.authority.front(), out);
     return;
   }
 
-  if (const Entry* match = FindEntry(qname, qtype)) {
+  // One probe serves the answer, CNAME and NODATA checks below.
+  const Entry* owner = FindOwner(qname);
+  if (const Entry* match = FindInRun(owner, qtype)) {
     out.disposition = LookupDisposition::kAnswer;
     out.answers.push_back(ViewOf(*match));
-    if (include_dnssec) AppendRrsig(qname, qtype, out.answers);
+    if (include_dnssec) AppendRrsig(owner, qtype, out.answers);
     return;
   }
 
   // CNAME at the owner redirects any type (except CNAME itself, handled
   // above when qtype == kCNAME).
-  if (const Entry* cname = FindEntry(qname, RRType::kCNAME)) {
+  if (const Entry* cname = FindInRun(owner, RRType::kCNAME)) {
     out.disposition = LookupDisposition::kAnswer;
     out.answers.push_back(ViewOf(*cname));
-    if (include_dnssec) AppendRrsig(qname, RRType::kCNAME, out.answers);
+    if (include_dnssec) AppendRrsig(owner, RRType::kCNAME, out.answers);
     return;
   }
 
-  out.disposition = HasName(qname) ? LookupDisposition::kNoData
-                                   : LookupDisposition::kNxDomain;
-  if (auto s = soa()) {
-    out.authority.push_back(*s);
-    if (include_dnssec) AppendRrsig(apex_, RRType::kSOA, out.authority);
+  out.disposition = owner != nullptr ? LookupDisposition::kNoData
+                                     : LookupDisposition::kNxDomain;
+  if (soa_ != nullptr) {
+    out.authority.push_back(ViewOf(*soa_));
+    if (include_dnssec) AppendRrsig(soa_, RRType::kSOA, out.authority);
   }
   if (include_dnssec && out.disposition == LookupDisposition::kNxDomain) {
     // Authenticated denial: attach the covering NSEC and its signature.
     if (const Entry* nsec = FindCoveringNsec(qname)) {
       out.authority.push_back(ViewOf(*nsec));
-      AppendRrsig(nsec->set->name, RRType::kNSEC, out.authority);
+      AppendRrsig(FindOwner(nsec->set->name), RRType::kNSEC, out.authority);
     }
   }
 }
@@ -404,11 +438,7 @@ const ZoneSnapshot::Entry* ZoneSnapshot::FindCoveringNsec(
   }
   // qname precedes every owner: the wrap-around NSEC (last in the chain)
   // covers it.
-  const Entry* last_nsec = nullptr;
-  for (const auto& e : index_) {
-    if (e.set->type == RRType::kNSEC) last_nsec = &e;
-  }
-  return last_nsec;
+  return last_nsec_;
 }
 
 std::vector<Name> ZoneSnapshot::DelegatedChildren() const {

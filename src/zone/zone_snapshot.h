@@ -15,6 +15,12 @@
 // makes the paper's §5.2 every-two-days refresh cheap at population scale:
 // a fleet of simulated resolvers swaps a pointer, not a zone copy.
 //
+// Exact-match lookups go through an owner-name hash index built next to the
+// sorted index: one probe finds an owner's contiguous run of RRsets, so a
+// lookup costs a handful of hash probes instead of binary searches over the
+// whole zone. The sorted index stays the single source of canonical order
+// (iteration, diffs, AXFR, the covering-NSEC search).
+//
 // Lookup() mirrors zone::Zone::Lookup decision-for-decision (answer /
 // referral / NODATA / NXDOMAIN, DS-at-cut, CNAME, covering NSEC) so the two
 // paths are behaviourally interchangeable; zone_snapshot_test checks parity.
@@ -27,6 +33,7 @@
 #include <vector>
 
 #include "dns/rr.h"
+#include "util/flat_hash.h"
 #include "util/result.h"
 #include "zone/zone.h"
 #include "zone/zone_diff.h"
@@ -169,11 +176,23 @@ class ZoneSnapshot {
                                                       e.set->rdata_count)};
   }
 
-  const Entry* FindEntry(const dns::Name& name, dns::RRType type) const;
+  // First entry of `name`'s owner run (its RRsets are contiguous in
+  // canonical order), or nullptr. `hash` is name.Hash().
+  const Entry* FindOwner(const dns::NameView& name, std::size_t hash) const;
+  const Entry* FindOwner(const dns::Name& name) const {
+    return FindOwner(dns::NameView(name), name.Hash());
+  }
+  // The (type, IN) entry in the owner run starting at `run` (may be null).
+  const Entry* FindInRun(const Entry* run, dns::RRType type) const;
+  const Entry* FindEntry(const dns::Name& name, dns::RRType type) const {
+    return FindInRun(FindOwner(name), type);
+  }
   const Entry* FindDelegation(const dns::Name& name) const;
   const Entry* FindCoveringNsec(const dns::Name& qname) const;
   void AppendGlue(const dns::RRsetView& ns_set, LookupView& out) const;
-  void AppendRrsig(const dns::Name& name, dns::RRType covered,
+  // Appends the RRSIGs covering `covered` at the owner of `run`, an entry
+  // that sorts at or before the owner's RRSIG entry.
+  void AppendRrsig(const Entry* run, dns::RRType covered,
                    std::vector<dns::RRsetView>& out) const;
 
   // Copies `set` into `page` (sig groups included). Returns nothing; the
@@ -182,13 +201,19 @@ class ZoneSnapshot {
   // Builds the Entry for page->rrsets[i] once the page is finalized.
   static Entry MakeEntry(const Page& page, std::size_t i);
 
-  void FinishInit();  // caches serial / record count after index_ is built
+  // Runs after index_ is final (Build and Apply): builds the owner index and
+  // caches the apex SOA, the last NSEC, serial and record count.
+  void FinishInit();
 
   dns::Name apex_;
   std::uint32_t serial_ = 0;
   std::size_t record_count_ = 0;
   std::vector<std::shared_ptr<const Page>> pages_;
   std::vector<Entry> index_;  // canonical (name, type, class) order
+  // Owner Name::Hash() -> position in index_ of that owner's first entry.
+  util::FlatHashIndex owners_;
+  const Entry* soa_ = nullptr;        // apex SOA
+  const Entry* last_nsec_ = nullptr;  // wrap-around NSEC (last in the chain)
 };
 
 // Computes new - old by lockstep walk over the two sorted indexes; produces

@@ -1,11 +1,15 @@
 // Tests for rdata presentation/wire forms and the message codec.
 #include <gtest/gtest.h>
 
+#include "crypto/dnssec.h"
 #include "dns/message.h"
 #include "dns/rdata.h"
 #include "dns/rr.h"
 #include "util/rng.h"
 #include "util/strings.h"
+#include "zone/evolution.h"
+#include "zone/sign.h"
+#include "zone/zone_snapshot.h"
 
 namespace rootless::dns {
 namespace {
@@ -142,6 +146,29 @@ TEST(Rdata, NsecTypeBitmapWindows) {
   ExpectRdataRoundTrip(RRType::kNSEC, nsec);
 }
 
+TEST(Rdata, NsecUnsortedTypesEncodeCanonicalBitmap) {
+  // Window 0: A(1) NS(2) -> 0x60; RRSIG(46) NSEC(47) -> byte 5 = 0x03.
+  // Window 16: 4242 = 16*256 + 146 -> byte 18, bit 2 -> 0x20.
+  const std::vector<RRType> sorted = {RRType::kA, RRType::kNS, RRType::kRRSIG,
+                                      RRType::kNSEC,
+                                      static_cast<RRType>(4242)};
+  const std::vector<RRType> unsorted = {
+      RRType::kNSEC, static_cast<RRType>(4242), RRType::kNS, RRType::kRRSIG,
+      RRType::kA, RRType::kNS};
+  const auto encode = [](const std::vector<RRType>& types) {
+    util::ByteWriter w;
+    EncodeRdata(Rdata(NsecData{Name(), types}), w);
+    return w.TakeData();
+  };
+  util::Bytes want = {0x00,                     // next name: root
+                      0x00, 6, 0x60, 0, 0, 0, 0, 0x03,  // window 0
+                      0x10, 19};                // window 16, 19 bytes
+  for (int i = 0; i < 18; ++i) want.push_back(0);
+  want.push_back(0x20);
+  EXPECT_EQ(encode(sorted), want);
+  EXPECT_EQ(encode(unsorted), want);
+}
+
 // ----------------------------------------------------------------- rrset
 
 TEST(RRset, GroupIntoRRsets) {
@@ -236,6 +263,98 @@ TEST(Message, TruncationDropsRecordsAndSetsTc) {
   ASSERT_TRUE(decoded.ok());
   EXPECT_TRUE(decoded->header.tc);
   EXPECT_LT(decoded->record_count(), m.record_count());
+}
+
+// The drop-one-record-and-re-encode loop EncodeMessage used before its
+// single-pass cut, kept as the reference: drop additional, then authority,
+// then answers, one record at a time, until the datagram fits.
+util::Bytes ReferenceTruncate(const Message& m, std::size_t max_size) {
+  Message cut = m;
+  cut.header.tc = false;
+  util::Bytes wire = EncodeMessage(cut);
+  if (wire.size() <= max_size) return wire;
+  while (cut.record_count() > 0) {
+    if (!cut.additional.empty()) cut.additional.pop_back();
+    else if (!cut.authority.empty()) cut.authority.pop_back();
+    else cut.answers.pop_back();
+    wire = EncodeMessage(cut);
+    wire[2] |= 0x02;  // TC
+    if (wire.size() <= max_size) return wire;
+  }
+  return wire;  // header + questions only, TC set
+}
+
+// A signed root-zone response as the authoritative server builds it: the
+// lookup's sections, plus an OPT record last in additional.
+struct SignedResponse {
+  Message owned;
+  MessageView view;
+};
+
+SignedResponse MakeSignedResponse(const zone::ZoneSnapshot& snapshot,
+                                  const Name& qname,
+                                  zone::LookupView& lookup) {
+  static const Name kRoot;
+  static const Rdata kOptRdata = RawData{};
+  snapshot.Lookup(qname, RRType::kA, /*include_dnssec=*/true, lookup);
+  SignedResponse r;
+  r.view.header.id = 0xBEEF;
+  r.view.header.qr = true;
+  r.view.header.aa = lookup.disposition != zone::LookupDisposition::kReferral;
+  r.view.questions.push_back({qname, RRType::kA, RRClass::kIN});
+  r.view.answers = lookup.answers;
+  r.view.authority = lookup.authority;
+  r.view.additional = lookup.additional;
+  r.view.additional.push_back(RRsetView{&kRoot, RRType::kOPT,
+                                        static_cast<RRClass>(1232), 0,
+                                        std::span<const Rdata>(&kOptRdata, 1)});
+  r.owned.header = r.view.header;
+  r.owned.questions = r.view.questions;
+  const auto expand = [](const std::vector<RRsetView>& sets,
+                         std::vector<ResourceRecord>& out) {
+    for (const auto& set : sets) {
+      for (const auto& rd : set.rdatas) {
+        out.push_back({*set.name, set.type, set.rrclass, set.ttl, rd});
+      }
+    }
+  };
+  expand(r.view.answers, r.owned.answers);
+  expand(r.view.authority, r.owned.authority);
+  expand(r.view.additional, r.owned.additional);
+  return r;
+}
+
+TEST(Message, SinglePassTruncationMatchesReEncodeReference) {
+  const zone::RootZoneModel model;
+  util::Rng rng(7);
+  const crypto::SigningKey zsk = crypto::GenerateKey(crypto::kZskFlags, rng);
+  const zone::SnapshotPtr snapshot = zone::ZoneSnapshot::Build(
+      zone::SignZone(model.Snapshot({2019, 6, 7}), zsk, {0, 2'000'000'000}));
+
+  zone::LookupView lookup;
+  for (const char* qname : {"www.example.com.", "no-such-tld-xyzzy."}) {
+    SCOPED_TRACE(qname);
+    const SignedResponse r = MakeSignedResponse(*snapshot, N(qname), lookup);
+    // A signed referral with glue, or a signed NXDOMAIN (SOA + NSEC).
+    ASSERT_GE(r.owned.authority.size(), 4u);
+    if (lookup.disposition == zone::LookupDisposition::kReferral) {
+      ASSERT_GE(r.owned.additional.size(), 3u);
+    } else {
+      ASSERT_EQ(lookup.disposition, zone::LookupDisposition::kNxDomain);
+    }
+
+    const util::Bytes full = EncodeMessage(r.owned);
+    EXPECT_EQ(EncodeMessage(r.view), full);
+    std::size_t mismatches = 0;
+    for (std::size_t max = 12; max <= full.size() + 1; ++max) {
+      const util::Bytes want = ReferenceTruncate(r.owned, max);
+      if (EncodeMessage(r.owned, max) != want ||
+          EncodeMessage(r.view, max) != want) {
+        if (++mismatches <= 3) ADD_FAILURE() << "max_size=" << max;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
+  }
 }
 
 TEST(Message, DecodeRejectsGarbage) {

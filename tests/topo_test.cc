@@ -5,7 +5,6 @@
 
 #include "topo/deployment.h"
 #include "topo/geo.h"
-#include "topo/geo_registry.h"
 #include "topo/topology.h"
 
 namespace rootless::topo {
@@ -230,40 +229,18 @@ TEST(Topology, NodePlacementDrivesLatency) {
   EXPECT_EQ(topology.Latency(0, 3), Topology::kLoopbackLatency);
 }
 
-// GeoRegistry is a deprecated adapter over topo::Topology, kept for one
-// release; these tests pin the adapter's pass-through behaviour.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(GeoRegistry, AdapterForwardsToTopology) {
-  GeoRegistry registry;
-  registry.SetLocation(0, {40.71, -74.0});
-  const GeoPoint p = registry.LocationOf(0);
-  EXPECT_TRUE(SameSite(p, {40.71, -74.0}));
+TEST(Topology, LocationOfReturnsPlacedPoint) {
+  Topology topology;
+  topology.PlaceNode(0, {40.71, -74.0});
+  EXPECT_TRUE(SameSite(topology.LocationOf(0), {40.71, -74.0}));
 }
 
-TEST(GeoRegistry, LoopbackForSameNode) {
-  GeoRegistry registry;
-  registry.SetLocation(0, {10, 20});
-  EXPECT_EQ(registry.Latency(0, 0), GeoRegistry::kLoopbackLatency);
+TEST(Topology, ColocatedNodesGetLoopback) {
+  Topology topology;
+  topology.PlaceNode(0, {10, 20});
+  topology.PlaceNode(1, {10, 20});
+  EXPECT_EQ(topology.Latency(0, 1), Topology::kLoopbackLatency);
 }
-
-TEST(GeoRegistry, ColocatedNodesGetLoopback) {
-  GeoRegistry registry;
-  registry.SetLocation(0, {10, 20});
-  registry.SetLocation(1, {10, 20});
-  EXPECT_EQ(registry.Latency(0, 1), GeoRegistry::kLoopbackLatency);
-}
-
-TEST(GeoRegistry, DistanceDrivesLatency) {
-  GeoRegistry registry;
-  registry.SetLocation(0, {40.71, -74.0});
-  registry.SetLocation(1, {51.51, -0.13});
-  registry.SetLocation(2, {40.8, -74.1});
-  EXPECT_GT(registry.Latency(0, 1), registry.Latency(0, 2));
-}
-
-#pragma GCC diagnostic pop
 
 TEST(Deployment, OperatorsMatchPaper) {
   const auto& ops = RootOperators();
