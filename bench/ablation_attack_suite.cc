@@ -64,9 +64,8 @@ ArmResult RunArm(traffic::AttackKind attack, bool rrl_on, bool local_root) {
   net.set_latency_fn(topology.LatencyFn());
 
   const zone::RootZoneModel zone_model;
-  auto root_zone =
-      std::make_shared<zone::Zone>(zone_model.Snapshot({2019, 6, 7}));
-  const zone::SnapshotPtr snapshot = zone::ZoneSnapshot::Build(*root_zone);
+  const zone::SnapshotPtr snapshot =
+      zone::ZoneSnapshot::Build(zone_model.Snapshot({2019, 6, 7}));
 
   // The fleet-wide limiter: one bucket array shared by every anycast
   // instance, so a client moving between letters cannot multiply its quota.
@@ -143,7 +142,7 @@ ArmResult RunArm(traffic::AttackKind attack, bool rrl_on, bool local_root) {
   }
 
   std::vector<std::string> tlds;
-  for (const auto& child : root_zone->DelegatedChildren())
+  for (const auto& child : snapshot->DelegatedChildren())
     tlds.push_back(child.tld());
   util::ZipfSampler zipf(tlds.size(), 0.95);
   util::Rng rng(kSeed);

@@ -72,10 +72,8 @@ LossPoint RunLossPoint(double loss, bool with_policy) {
   net.set_fault_injector(&faults);
 
   const zone::RootZoneModel zone_model;
-  auto root_zone =
-      std::make_shared<zone::Zone>(zone_model.Snapshot({2018, 4, 11}));
   const zone::SnapshotPtr root_snapshot =
-      zone::ZoneSnapshot::Build(*root_zone);
+      zone::ZoneSnapshot::Build(zone_model.Snapshot({2018, 4, 11}));
   rootsrv::RootServerFleet fleet(net, topology, root_snapshot);
   rootsrv::TldFarm farm(net, topology, *root_snapshot, 5);
 
@@ -98,7 +96,7 @@ LossPoint RunLossPoint(double loss, bool with_policy) {
   r.SetTldFarm(&farm);
 
   std::vector<std::string> tlds;
-  for (const auto& child : root_zone->DelegatedChildren())
+  for (const auto& child : root_snapshot->DelegatedChildren())
     tlds.push_back(child.tld());
   util::ZipfSampler zipf(tlds.size(), 0.95);
   util::Rng rng(kSeed);
@@ -153,9 +151,8 @@ OutagePoint RunOutagePoint(int outage_hours, bool with_ladder) {
   sim::Network net(sim, kSeed ^ 17);
 
   const zone::RootZoneModel zone_model;
-  auto root_zone =
-      std::make_shared<zone::Zone>(zone_model.Snapshot({2018, 4, 11}));
-  const zone::SnapshotPtr snapshot = zone::ZoneSnapshot::Build(*root_zone);
+  const zone::SnapshotPtr snapshot =
+      zone::ZoneSnapshot::Build(zone_model.Snapshot({2018, 4, 11}));
 
   const sim::SimTime start = 41 * sim::kHour;
   const sim::SimTime dur = outage_hours * sim::kHour;

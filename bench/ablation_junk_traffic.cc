@@ -36,7 +36,8 @@ struct Row {
 };
 
 // One day's worth (scaled) of lookups, 61% bogus like the DITL mix.
-std::vector<dns::Name> BuildLookups(const zone::Zone& root_zone, int count) {
+std::vector<dns::Name> BuildLookups(const zone::ZoneSnapshot& root_zone,
+                                    int count) {
   std::vector<std::string> tlds;
   for (const auto& child : root_zone.DelegatedChildren())
     tlds.push_back(child.tld());
@@ -109,10 +110,10 @@ int main() {
   std::printf("%s", rootless::obs::RunHeader(run_info).c_str());
 
   const zone::RootZoneModel model;
-  const zone::Zone master = model.Snapshot({2018, 4, 11});
-  const auto lookups = BuildLookups(master, 8000);
   // One immutable snapshot shared across all four configurations.
-  auto root_zone = zone::ZoneSnapshot::Build(master);
+  const zone::SnapshotPtr root_zone =
+      zone::ZoneSnapshot::Build(model.Snapshot({2018, 4, 11}));
+  const auto lookups = BuildLookups(*root_zone, 8000);
 
   analysis::Table table({"configuration", "queries at roots", "negcache hits",
                          "local lookups", "nxdomain answered"});

@@ -41,8 +41,8 @@
 #include "zone/zone_diff.h"
 #include "zone/zone_snapshot.h"
 
-// Allocation counter for the referral-build comparison: every global new is
-// one tick. Single-threaded harness, so a plain counter suffices.
+// Allocation counter for the referral-build bench: every global new is one
+// tick. Single-threaded harness, so a plain counter suffices.
 namespace {
 std::uint64_t g_allocs = 0;
 }  // namespace
@@ -283,23 +283,20 @@ double BenchCachePutCold() {
 
 // ------------------------------------------------ snapshot-layer benches
 
-// Referral assembly through the authoritative server, comparing the
-// zero-copy view path (Lookup into borrowed RRsetViews, wire encoding
-// straight from the arena) against the materializing path (expand views
-// into owned ResourceRecords, then encode). Also reports allocations per
-// query for both, counted via the global operator-new hook above.
+// Referral assembly through the authoritative server with the answer cache
+// off, so every query is a snapshot lookup into borrowed RRsetViews plus one
+// wire encode straight from the arena. Also reports allocations per query,
+// counted via the global operator-new hook above.
 struct ReferralBenchResult {
-  double view_ns = 0;
-  double copy_ns = 0;
-  double view_allocs = 0;
-  double copy_allocs = 0;
+  double ns = 0;
+  double allocs = 0;
 };
 
 ReferralBenchResult BenchReferralBuild() {
-  sim::Simulator sim;
-  sim::Network net(sim, 3);
   const zone::SnapshotPtr snapshot = zone::ZoneSnapshot::Build(RootZone());
-  rootsrv::AuthServer server(net, snapshot);
+  rootsrv::AuthServer::Options options;
+  options.answer_cache_entries = 0;
+  rootsrv::AuthServer server(nullptr, snapshot, options);
 
   // Query pool: referrals across the delegated TLDs.
   std::vector<dns::Message> queries;
@@ -319,32 +316,19 @@ ReferralBenchResult BenchReferralBuild() {
 
   ReferralBenchResult result;
   std::size_t sink = 0;
-  result.view_ns = MeasureNsPerOp([&](std::uint64_t iters) {
+  result.ns = MeasureNsPerOp([&](std::uint64_t iters) {
     for (std::uint64_t i = 0; i < iters; ++i) {
       sink += server.AnswerWire(queries[i & 255]).size();
-    }
-  });
-  // The materializing path the view refactor replaced: build an owned
-  // Message (one ResourceRecord per rdata), then encode it.
-  result.copy_ns = MeasureNsPerOp([&](std::uint64_t iters) {
-    for (std::uint64_t i = 0; i < iters; ++i) {
-      sink += dns::EncodeMessage(server.Answer(queries[i & 255]), 1232).size();
     }
   });
   if (sink == 1) std::printf("impossible\n");
 
   constexpr std::uint64_t kAllocIters = 20000;
-  std::uint64_t before = g_allocs;
+  const std::uint64_t before = g_allocs;
   for (std::uint64_t i = 0; i < kAllocIters; ++i) {
     (void)server.AnswerWire(queries[i & 255]);
   }
-  result.view_allocs =
-      static_cast<double>(g_allocs - before) / static_cast<double>(kAllocIters);
-  before = g_allocs;
-  for (std::uint64_t i = 0; i < kAllocIters; ++i) {
-    (void)dns::EncodeMessage(server.Answer(queries[i & 255]), 1232);
-  }
-  result.copy_allocs =
+  result.allocs =
       static_cast<double>(g_allocs - before) / static_cast<double>(kAllocIters);
   return result;
 }
@@ -364,10 +348,11 @@ struct ZoneSwapBenchResult {
 ZoneSwapBenchResult BenchZoneSwap() {
   zone::EvolutionConfig config;
   const zone::RootZoneModel model(config);
-  const zone::Zone today = model.Snapshot({2018, 4, 11});
   const zone::Zone tomorrow = model.Snapshot({2018, 4, 12});
-  const zone::SnapshotPtr base = zone::ZoneSnapshot::Build(today);
-  const zone::ZoneDiff diff = zone::DiffZones(today, tomorrow);
+  const zone::SnapshotPtr base =
+      zone::ZoneSnapshot::Build(model.Snapshot({2018, 4, 11}));
+  const zone::ZoneDiff diff =
+      zone::DiffSnapshots(*base, *zone::ZoneSnapshot::Build(tomorrow));
 
   ZoneSwapBenchResult result;
   result.apply_ns = MeasureNsPerOp([&](std::uint64_t iters) {
@@ -709,10 +694,8 @@ int main(int argc, char** argv) {
   run("sim_queue_500k_cal_ns",
       BenchSimQueueMillion(sim::QueuePolicy::kCalendar));
   const ReferralBenchResult referral = BenchReferralBuild();
-  run("referral_build_ns", referral.view_ns);
-  run("referral_build_copy_ns", referral.copy_ns);
-  run("referral_build_allocs", referral.view_allocs);
-  run("referral_build_copy_allocs", referral.copy_allocs);
+  run("referral_build_ns", referral.ns);
+  run("referral_build_allocs", referral.allocs);
   const ZoneSwapBenchResult swap = BenchZoneSwap();
   run("zone_swap_ns", swap.apply_ns);
   run("zone_build_ns", swap.build_ns);

@@ -32,17 +32,27 @@ const zone::Zone& RootZone() {
   return *z;
 }
 
+const zone::SnapshotPtr& RootSnapshot() {
+  static const zone::SnapshotPtr snapshot =
+      zone::ZoneSnapshot::Build(RootZone());
+  return snapshot;
+}
+
 dns::Message SampleMessage() {
-  const auto result = RootZone().Lookup(
+  const auto result = RootSnapshot()->Lookup(
       *dns::Name::Parse("www.example.com."), dns::RRType::kA);
   dns::Message m =
       dns::MakeQuery(42, *dns::Name::Parse("www.example.com."), dns::RRType::kA);
   m.header.qr = true;
   for (const auto& s : result.authority) {
-    for (auto&& rr : s.ToRecords()) m.authority.push_back(std::move(rr));
+    for (auto&& rr : s.Materialize().ToRecords()) {
+      m.authority.push_back(std::move(rr));
+    }
   }
   for (const auto& s : result.additional) {
-    for (auto&& rr : s.ToRecords()) m.additional.push_back(std::move(rr));
+    for (auto&& rr : s.Materialize().ToRecords()) {
+      m.additional.push_back(std::move(rr));
+    }
   }
   return m;
 }
@@ -74,10 +84,11 @@ void BM_MessageDecode(benchmark::State& state) {
 BENCHMARK(BM_MessageDecode);
 
 void BM_ZoneLookupReferral(benchmark::State& state) {
-  const zone::Zone& z = RootZone();
+  const zone::ZoneSnapshot& z = *RootSnapshot();
   const dns::Name name = *dns::Name::Parse("www.example.com.");
+  zone::LookupView result;
   for (auto _ : state) {
-    auto result = z.Lookup(name, dns::RRType::kA);
+    z.Lookup(name, dns::RRType::kA, false, result);
     benchmark::DoNotOptimize(result);
   }
 }
@@ -105,7 +116,7 @@ void BM_CachePut(benchmark::State& state) {
 BENCHMARK(BM_CachePut);
 
 void BM_ZoneDbLookup(benchmark::State& state) {
-  resolver::ZoneDb db(RootZone());
+  resolver::ZoneDb db(RootSnapshot());
   for (auto _ : state) {
     benchmark::DoNotOptimize(db.Lookup("com"));
   }
@@ -176,8 +187,10 @@ BENCHMARK(BM_RzcDecompressZone);
 
 void BM_RsyncDeltaDailyZone(benchmark::State& state) {
   static const zone::RootZoneModel model;
-  const auto day1 = zone::SerializeZone(model.Snapshot({2019, 4, 1}));
-  const auto day2 = zone::SerializeZone(model.Snapshot({2019, 4, 2}));
+  const auto day1 = zone::SerializeSnapshot(
+      *zone::ZoneSnapshot::Build(model.Snapshot({2019, 4, 1})));
+  const auto day2 = zone::SerializeSnapshot(
+      *zone::ZoneSnapshot::Build(model.Snapshot({2019, 4, 2})));
   const auto sig = distrib::ComputeSignature(day1, 2048);
   for (auto _ : state) {
     auto delta = distrib::ComputeDelta(sig, day2);

@@ -65,9 +65,8 @@ ModeResult RunMode(resolver::RootMode mode, double extra_db_latency_us = 0) {
   net.set_latency_fn(topology.LatencyFn());
 
   const zone::RootZoneModel zone_model;
-  auto root_zone =
-      std::make_shared<zone::Zone>(zone_model.Snapshot({2018, 4, 11}));
-  const zone::SnapshotPtr root_snapshot = zone::ZoneSnapshot::Build(*root_zone);
+  const zone::SnapshotPtr root_snapshot =
+      zone::ZoneSnapshot::Build(zone_model.Snapshot({2018, 4, 11}));
   rootsrv::RootServerFleet fleet(net, topology, root_snapshot);
   rootsrv::TldFarm farm(net, topology, *root_snapshot, 5);
 
@@ -87,7 +86,8 @@ ModeResult RunMode(resolver::RootMode mode, double extra_db_latency_us = 0) {
       r.SetRootFleet(&fleet);
       break;
     case resolver::RootMode::kLoopbackAuth:
-      loopback = std::make_unique<rootsrv::AuthServer>(net, root_snapshot);
+      loopback = std::make_unique<rootsrv::AuthServer>(
+          &net, root_snapshot, rootsrv::AuthServer::Options{});
       topology.PlaceNode(loopback->node(), where);
       r.SetLoopbackNode(loopback->node());
       r.SetLocalZone(root_snapshot);
@@ -99,7 +99,7 @@ ModeResult RunMode(resolver::RootMode mode, double extra_db_latency_us = 0) {
 
   // Workload: Zipf over TLDs, many names per TLD.
   std::vector<std::string> tlds;
-  for (const auto& child : root_zone->DelegatedChildren()) {
+  for (const auto& child : root_snapshot->DelegatedChildren()) {
     tlds.push_back(child.tld());
   }
   util::ZipfSampler zipf(tlds.size(), 0.95);

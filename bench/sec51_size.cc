@@ -22,6 +22,7 @@
 #include "zone/master_file.h"
 #include "zone/root_hints.h"
 #include "zone/rzc.h"
+#include "zone/zone_snapshot.h"
 #include "obs/export.h"
 
 int main() {
@@ -36,6 +37,7 @@ int main() {
 
   const zone::RootZoneModel model;
   const zone::Zone root_zone = model.Snapshot({2019, 6, 7});
+  const zone::SnapshotPtr snapshot = zone::ZoneSnapshot::Build(root_zone);
   const zone::RootHints hints = zone::RootHints::Standard();
 
   const std::string zone_text =
@@ -63,14 +65,14 @@ int main() {
   // Build a synthetic resolver cache: ~55K RRsets, including the referral
   // RRsets for 20% of the TLDs, the rest SLD/answer records.
   resolver::DnsCache cache;
-  const auto children = root_zone.DelegatedChildren();
+  const auto children = snapshot->DelegatedChildren();
   util::Rng rng(61);
   std::size_t tlds_cached = 0;
   for (std::size_t i = 0; i < children.size(); ++i) {
     if (!rng.Chance(0.20)) continue;
     ++tlds_cached;
     // Cache exactly what a referral would have delivered.
-    const auto result = root_zone.Lookup(
+    const auto result = snapshot->Lookup(
         *dns::Name::Parse("x." + children[i].tld() + "."), dns::RRType::kA);
     for (const auto& s : result.authority) cache.Put(s, 0);
     for (const auto& s : result.additional) cache.Put(s, 0);
@@ -139,7 +141,7 @@ int main() {
 
   // The indexed alternative (the paper: "loading the root zone into a
   // database ... would make the process faster").
-  resolver::ZoneDb db(root_zone);
+  resolver::ZoneDb db(snapshot);
   double db_total_us = 0;
   for (int t = 0; t < kTrials * 100; ++t) {
     const std::string target = children[rng.Below(children.size())].tld();

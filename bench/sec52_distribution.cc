@@ -41,8 +41,10 @@ int main() {
   const std::string text_today =
       zone::SerializeMasterFile(today.AllRecords());
   const auto compressed_today = zone::RzcCompressText(text_today);
-  const auto snapshot_today = zone::SerializeZone(today);
-  const auto snapshot_later = zone::SerializeZone(in_two_days);
+  const auto snapshot_today =
+      zone::SerializeSnapshot(*zone::ZoneSnapshot::Build(today));
+  const auto snapshot_later =
+      zone::SerializeSnapshot(*zone::ZoneSnapshot::Build(in_two_days));
 
   std::printf("zone on %s: %zu records, %s raw, %s compressed\n\n",
               util::FormatDate(day).c_str(), today.record_count(),

@@ -117,7 +117,8 @@ int main(int argc, char** argv) {
     if (!z.ok()) return Fail(z.error().message());
     std::printf("%s: %zu records, %zu RRsets, %zu delegations, serial %u\n",
                 argv[2], z->record_count(), z->rrset_count(),
-                z->DelegatedChildren().size(), z->Serial());
+                zone::ZoneSnapshot::Build(*z)->DelegatedChildren().size(),
+                z->Serial());
     return 0;
   }
 
@@ -177,7 +178,9 @@ int main(int argc, char** argv) {
     if (!old_zone.ok()) return Fail(old_zone.error().message());
     auto new_zone = LoadZone(argv[3]);
     if (!new_zone.ok()) return Fail(new_zone.error().message());
-    const zone::ZoneDiff diff = DiffZones(*old_zone, *new_zone);
+    const zone::ZoneDiff diff =
+        zone::DiffSnapshots(*zone::ZoneSnapshot::Build(*old_zone),
+                            *zone::ZoneSnapshot::Build(*new_zone));
     std::printf("%zu added, %zu removed, %zu changed RRsets (%zu bytes "
                 "serialized)\n",
                 diff.added.size(), diff.removed.size(), diff.changed.size(),

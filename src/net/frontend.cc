@@ -42,7 +42,7 @@ util::Status DnsFrontend::Start() {
     auto worker = std::make_unique<Worker>();
     worker->registry = std::make_unique<obs::Registry>();
     worker->registry->set_instance_namespace("w" + std::to_string(i) + ".");
-    worker->loop = EventLoop::Create(options_.loop_backend);
+    worker->loop = std::make_unique<EventLoop>();
     if (!worker->loop->ok()) {
       return util::Error(ErrorCode::kUnavailable,
                          "frontend: event loop setup failed");

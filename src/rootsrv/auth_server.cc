@@ -23,14 +23,6 @@ void FastLaneCounters::Register(obs::Registry& reg) {
 
 namespace {
 
-AuthServer::Options LegacyOptions(bool include_dnssec,
-                                  std::size_t max_udp_size) {
-  AuthServer::Options options;
-  options.include_dnssec = include_dnssec;
-  options.edns.default_udp_payload = max_udp_size;
-  return options;
-}
-
 std::uint64_t SteadyNowMicros() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -77,52 +69,6 @@ AuthServer::AuthServer(net::Transport* transport, zone::SnapshotPtr snapshot,
   pipeline_.Append(&answer_stage_);
 }
 
-AuthServer::AuthServer(net::Transport& transport, zone::SnapshotPtr snapshot,
-                       bool include_dnssec, std::size_t max_udp_size)
-    : AuthServer(&transport, std::move(snapshot),
-                 LegacyOptions(include_dnssec, max_udp_size)) {}
-
-AuthServer::AuthServer(net::Transport& transport,
-                       std::shared_ptr<const zone::Zone> zone,
-                       bool include_dnssec, std::size_t max_udp_size)
-    : AuthServer(&transport, zone::ZoneSnapshot::Build(*zone),
-                 LegacyOptions(include_dnssec, max_udp_size)) {}
-
-Message AuthServer::Answer(const Message& query) {
-  c_.queries.Inc();
-  QueryContext ctx;
-  ctx.query = &query;
-  ctx.channel = Channel::kUdp;
-  ctx.wire_path = false;
-  pipeline_.Admit(ctx);  // unattributed: the chain cannot drop this query
-
-  const dns::ResourceRecord opt_record{
-      opt_owner_, dns::RRType::kOPT,
-      static_cast<dns::RRClass>(options_.edns.advertise_udp_payload), 0,
-      opt_rdata_};
-  if (ctx.screened) {
-    Message response = MakeResponse(query, ctx.screen_rcode);
-    if (ctx.echo_opt) response.additional.push_back(opt_record);
-    return response;
-  }
-  Message response = MakeResponse(query, ctx.rcode);
-  response.header.aa = ctx.aa;
-  auto append = [](const std::vector<dns::RRsetView>& sets,
-                   std::vector<dns::ResourceRecord>& out) {
-    for (const auto& s : sets) {
-      for (const auto& rd : s.rdatas) {
-        out.push_back(
-            dns::ResourceRecord{*s.name, s.type, s.rrclass, s.ttl, rd});
-      }
-    }
-  };
-  append(ctx.lookup->answers, response.answers);
-  append(ctx.lookup->authority, response.authority);
-  append(ctx.lookup->additional, response.additional);
-  if (ctx.echo_opt) response.additional.push_back(opt_record);
-  return response;
-}
-
 util::Bytes AuthServer::AnswerWireFrom(const Message& query, Channel channel,
                                        std::uint64_t client) {
   c_.queries.Inc();
@@ -130,7 +76,6 @@ util::Bytes AuthServer::AnswerWireFrom(const Message& query, Channel channel,
   ctx.query = &query;
   ctx.channel = channel;
   ctx.client = client;
-  ctx.wire_path = true;
   if (rrl_stage_.active() && client != QueryContext::kUnattributed &&
       options_.clock) {
     ctx.now_us = options_.clock();
@@ -173,9 +118,8 @@ util::Bytes AuthServer::AnswerWireFrom(const Message& query, Channel channel,
   response.authority = ctx.lookup->authority;
   response.additional = ctx.lookup->additional;
   if (ctx.echo_opt) {
-    // The OPT echo rides last in additional, so under truncation it is the
-    // first record dropped — whole-record truncation keeps the encoder
-    // byte-identical to the owning-Message path.
+    // The OPT echo rides last in additional, so under whole-record
+    // truncation it is the first record dropped.
     response.additional.push_back(dns::RRsetView{
         &opt_owner_, dns::RRType::kOPT,
         static_cast<dns::RRClass>(options_.edns.advertise_udp_payload), 0,

@@ -4,10 +4,10 @@
 // queries, applies the zone's lookup logic, and answers with referrals /
 // answers / NXDOMAIN exactly as a root or TLD server would.
 //
-// All serving paths — Answer (owning Message, sim/local-root), AnswerWire
-// (zero-copy wire), HandleDatagram (full UDP/TCP datagram path) — drive the
-// same rootsrv::QueryPipeline stage chain (see pipeline.h): Screen →
-// RateLimit → AnswerCache → SnapshotAnswer. The server owns the stages and
+// Every serving path — AnswerWire (a decoded query), AnswerDatagram and
+// HandleDatagram (raw UDP/TCP datagrams) — drives the same
+// rootsrv::QueryPipeline stage chain (see pipeline.h): Screen → RateLimit →
+// AnswerCache → SnapshotAnswer. The server owns the stages and
 // renders whatever the chain decides; there is exactly one EDNS-clamp /
 // truncation implementation, one FORMERR/NOTIMP/REFUSED policy, one cache
 // probe, and one defense hook across both transports.
@@ -43,7 +43,6 @@
 #include "rootsrv/pipeline.h"
 #include "rootsrv/rrl.h"
 #include "util/bytes.h"
-#include "zone/zone.h"
 #include "zone/zone_snapshot.h"
 
 namespace rootless::rootsrv {
@@ -119,21 +118,12 @@ class AuthServer {
   };
 
   // The snapshot is shared between anycast instances (refcounted).
-  // `transport` may be null for a detached server: Answer()/AnswerWire()
-  // work normally, but there is no endpoint (node() is meaningless) — used
-  // by front-ends that drive the server directly (e.g. the TCP query path)
-  // and by parity tests.
+  // `transport` may be null for a detached server: AnswerWire() and
+  // AnswerDatagram() work normally, but there is no endpoint (node() is
+  // meaningless) — used by front-ends that drive the server directly (e.g.
+  // the TCP query path), by the local-root loopback and by parity tests.
   AuthServer(net::Transport* transport, zone::SnapshotPtr snapshot,
              Options options);
-
-  // Legacy convenience constructors; `max_udp_size` becomes
-  // edns.default_udp_payload (the historical truncation behaviour).
-  AuthServer(net::Transport& transport, zone::SnapshotPtr snapshot,
-             bool include_dnssec = false, std::size_t max_udp_size = 1232);
-  // Convenience for hand-built zones (tests, single-server setups):
-  // snapshots the zone first. Fleets should build one snapshot and share it.
-  AuthServer(net::Transport& transport, std::shared_ptr<const zone::Zone> zone,
-             bool include_dnssec = false, std::size_t max_udp_size = 1232);
 
   net::EndpointId node() const { return node_; }
   // Snapshot of the registry-backed counters.
@@ -168,20 +158,11 @@ class AuthServer {
     snapshot_ = std::move(snapshot);
     cache_stage_.Drop();
   }
-  void SetZone(std::shared_ptr<const zone::Zone> zone) {
-    snapshot_ = zone::ZoneSnapshot::Build(*zone);
-    cache_stage_.Drop();
-  }
-
-  // Builds the response message for a query (exposed for tests and for the
-  // local-root path, which answers without the network round trip).
-  // Materializes owning records; the datagram path uses AnswerWire instead.
-  dns::Message Answer(const dns::Message& query);
 
   // Zero-copy serving path: lookup → borrowed views → wire bytes, with TC
-  // truncation at the channel's payload limit. Byte-identical to encoding
-  // Answer()'s message; reuses this server's scratch buffers (not
-  // reentrant). No client attribution → the rate limiter never drops it.
+  // truncation at the channel's payload limit (kTcp never truncates).
+  // Reuses this server's scratch buffers (not reentrant). No client
+  // attribution → the rate limiter never drops it.
   util::Bytes AnswerWire(const dns::Message& query,
                          Channel channel = Channel::kUdp) {
     return AnswerWireFrom(query, channel, QueryContext::kUnattributed);

@@ -7,22 +7,6 @@ namespace rootless::rootsrv {
 RootServerFleet::RootServerFleet(sim::Network& network,
                                  topo::Topology& topology,
                                  zone::SnapshotPtr root_zone,
-                                 bool include_dnssec)
-    : topology_(&topology) {
-  for (const auto& instance : topology.instances()) {
-    auto server = std::make_unique<AuthServer>(network, root_zone,
-                                               include_dnssec);
-    topology.PlaceNode(server->node(), instance.location);
-    by_letter_[topo::IndexForLetter(instance.letter)].push_back(
-        instances_.size());
-    instances_.push_back(
-        InstanceInfo{instance.letter, instance.location, std::move(server)});
-  }
-}
-
-RootServerFleet::RootServerFleet(sim::Network& network,
-                                 topo::Topology& topology,
-                                 zone::SnapshotPtr root_zone,
                                  const AuthServer::Options& options)
     : topology_(&topology) {
   for (const auto& instance : topology.instances()) {
@@ -35,13 +19,6 @@ RootServerFleet::RootServerFleet(sim::Network& network,
         InstanceInfo{instance.letter, instance.location, std::move(server)});
   }
 }
-
-RootServerFleet::RootServerFleet(sim::Network& network,
-                                 topo::Topology& topology,
-                                 std::shared_ptr<const zone::Zone> root_zone,
-                                 bool include_dnssec)
-    : RootServerFleet(network, topology,
-                      zone::ZoneSnapshot::Build(*root_zone), include_dnssec) {}
 
 sim::NodeId RootServerFleet::InstanceFor(char letter,
                                          const topo::GeoPoint& location) const {

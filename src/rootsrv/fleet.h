@@ -10,7 +10,7 @@
 #include "rootsrv/auth_server.h"
 #include "sim/network.h"
 #include "topo/topology.h"
-#include "zone/zone.h"
+#include "zone/zone_snapshot.h"
 
 namespace rootless::rootsrv {
 
@@ -20,19 +20,12 @@ class RootServerFleet {
   // deployment date, placing each node at its site. Every instance serves
   // the same refcounted snapshot — the whole fleet holds one zone copy
   // regardless of its size. The topology must outlive the fleet (catchment
-  // queries route through it).
-  RootServerFleet(sim::Network& network, topo::Topology& topology,
-                  zone::SnapshotPtr root_zone, bool include_dnssec = false);
-  // Full-options variant: every instance is built with `options` (snapshot
-  // taken from `root_zone`) — this is how the attack benches arm the fleet
-  // with a shared response-rate limiter and a sim-time clock.
+  // queries route through it). Every instance is built with `options` —
+  // this is how the attack benches arm the fleet with a shared
+  // response-rate limiter and a sim-time clock.
   RootServerFleet(sim::Network& network, topo::Topology& topology,
                   zone::SnapshotPtr root_zone,
-                  const AuthServer::Options& options);
-  // Convenience: snapshots the zone once, then shares it as above.
-  RootServerFleet(sim::Network& network, topo::Topology& topology,
-                  std::shared_ptr<const zone::Zone> root_zone,
-                  bool include_dnssec = false);
+                  const AuthServer::Options& options = {});
 
   std::size_t instance_count() const { return instances_.size(); }
 
@@ -58,9 +51,6 @@ class RootServerFleet {
   // Swap the zone every instance serves (daily update): one pointer swap
   // per instance.
   void SetZone(zone::SnapshotPtr root_zone);
-  void SetZone(std::shared_ptr<const zone::Zone> root_zone) {
-    SetZone(zone::ZoneSnapshot::Build(*root_zone));
-  }
 
   // Aggregate stats.
   AuthServerStats TotalStats() const;

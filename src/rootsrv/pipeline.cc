@@ -115,7 +115,7 @@ StageVerdict ScreenStage::Admit(QueryContext& ctx) {
 
 StageVerdict RateLimitStage::Admit(QueryContext& ctx) {
   // TCP queries already proved their source address; unattributed queries
-  // (the owning Answer() path, detached tests) have no client to charge.
+  // (AnswerWire, detached tests) have no client to charge.
   if (limiter_ == nullptr || ctx.channel != Channel::kUdp ||
       ctx.client == QueryContext::kUnattributed) {
     return StageVerdict::kPass;
@@ -166,9 +166,7 @@ bool AnswerCacheStage::Probe(const WireKey& key, std::uint64_t key_hash,
 }
 
 StageVerdict AnswerCacheStage::Admit(QueryContext& ctx) {
-  // Only the wire path is cache-eligible (the owning-Message path has no
-  // wire to memoize).
-  if (!ctx.wire_path || capacity_ == 0) return StageVerdict::kPass;
+  if (capacity_ == 0) return StageVerdict::kPass;
   const dns::Question& q = ctx.query->questions.front();
 
   // The key covers every query property that can shape the response bytes
@@ -207,8 +205,8 @@ StageVerdict AnswerCacheStage::Admit(QueryContext& ctx) {
 void AnswerCacheStage::OnResponse(QueryContext& ctx, const util::Bytes& wire,
                                   bool truncated) {
   // Insert only live lookups the probe missed: cache_probed excludes the
-  // screened / cache-off / owning-Message paths, lookup excludes defense
-  // slips (which never reached the answerer).
+  // screened and cache-off paths, lookup excludes defense slips (which
+  // never reached the answerer).
   if (!ctx.cache_probed || ctx.cache_hit || ctx.lookup == nullptr) return;
   const dns::Question& q = ctx.query->questions.front();
   const std::span<const std::uint8_t> qname = q.name.flat();

@@ -8,11 +8,11 @@
 //   SnapshotAnswer— the zone lookup + classification that produces a live
 //                   answer when nothing earlier resolved the query.
 //
-// AuthServer::Answer (the owning-Message sim path), AuthServer::AnswerWire
-// (the zero-copy wire path) and the net:: TCP/UDP datagram handlers all run
-// the *same* chain — one EDNS-clamp/truncation implementation, one error
-// policy, one cache probe, one defense hook — and only differ in how the
-// resulting QueryContext is rendered. A stage stops the chain by returning
+// AuthServer::AnswerWire (a decoded query) and the datagram paths that the
+// simulator and the net:: TCP/UDP handlers drive all run the *same* chain —
+// one EDNS-clamp/truncation implementation, one error policy, one cache
+// probe, one defense hook — and the server renders the resulting
+// QueryContext to wire bytes. A stage stops the chain by returning
 // kRespond (the context describes the response) or kDrop (silence); kPass
 // hands the query to the next stage.
 //
@@ -83,7 +83,7 @@ struct PipelineCounters {
   obs::Counter rrl_checked;       // queries evaluated by the rate limiter
   obs::Counter rrl_dropped;
   obs::Counter rrl_slipped;
-  obs::Counter cache_probes;      // wire-path queries that reached the cache
+  obs::Counter cache_probes;      // queries that reached the cache
   obs::Counter cache_insertions;
   obs::Counter cache_evictions;
   obs::Counter snapshot_answers;  // live lookup+encode executions
@@ -108,8 +108,8 @@ struct PipelineStats {
 // fills the input block, the stages fill their output blocks, and the
 // caller renders whichever output block the final verdict points at.
 struct QueryContext {
-  // No transport peer to attribute the query to (the owning Answer() path
-  // and detached tests); the rate limiter passes these through.
+  // No transport peer to attribute the query to (AnswerWire and detached
+  // tests); the rate limiter passes these through.
   static constexpr std::uint64_t kUnattributed = ~0ULL;
 
   // ---- input ----------------------------------------------------------
@@ -117,7 +117,6 @@ struct QueryContext {
   Channel channel = Channel::kUdp;
   std::uint64_t client = kUnattributed;  // transport source endpoint
   std::uint64_t now_us = 0;              // defense clock sample
-  bool wire_path = false;  // AnswerWire/HandleDatagram: cache-eligible
 
   // ---- Screen outputs -------------------------------------------------
   bool screened = false;  // diverted to an error response
@@ -152,8 +151,8 @@ class QueryStage {
   virtual const char* name() const = 0;
   // Admission: runs in chain order until a stage returns kRespond/kDrop.
   virtual StageVerdict Admit(QueryContext& ctx) = 0;
-  // Post-render hook (wire path only): observes the final response bytes of
-  // a live answer. Default no-op; the cache stage inserts here.
+  // Post-render hook: observes the final response bytes of a live answer.
+  // Default no-op; the cache stage inserts here.
   virtual void OnResponse(QueryContext& ctx, const util::Bytes& wire,
                           bool truncated) {
     (void)ctx;

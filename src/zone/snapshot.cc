@@ -12,17 +12,7 @@ constexpr std::uint32_t kSnapshotMagic = 0x525A4F4E;  // "RZON"
 }
 
 void WriteRRsetWire(const dns::RRset& s, ByteWriter& w) {
-  s.name.EncodeWire(w);
-  w.WriteU16(static_cast<std::uint16_t>(s.type));
-  w.WriteU16(static_cast<std::uint16_t>(s.rrclass));
-  w.WriteU32(s.ttl);
-  w.WriteVarint(s.rdatas.size());
-  for (const auto& rd : s.rdatas) {
-    ByteWriter rw;
-    dns::EncodeRdata(rd, rw);
-    w.WriteVarint(rw.size());
-    w.WriteBytes(rw.span());
-  }
+  WriteRRsetWire(dns::RRsetView::Of(s), w);
 }
 
 void WriteRRsetWire(const dns::RRsetView& s, ByteWriter& w) {
@@ -61,18 +51,19 @@ util::Result<dns::RRset> ReadRRsetWire(ByteReader& r) {
   return s;
 }
 
-Bytes SerializeZone(const Zone& zone) {
+Bytes SerializeSnapshot(const ZoneSnapshot& snapshot) {
   ByteWriter w;
   w.WriteU32(kSnapshotMagic);
-  zone.apex().EncodeWire(w);
-  w.WriteU32(zone.Serial());
-  const auto rrsets = zone.AllRRsets();
-  w.WriteVarint(rrsets.size());
-  for (const auto& s : rrsets) WriteRRsetWire(s, w);
+  snapshot.apex().EncodeWire(w);
+  w.WriteU32(snapshot.Serial());
+  w.WriteVarint(snapshot.rrset_count());
+  snapshot.ForEachRRset(
+      [&](const dns::RRsetView& s) { WriteRRsetWire(s, w); });
   return w.TakeData();
 }
 
-util::Result<Zone> DeserializeZone(std::span<const std::uint8_t> wire) {
+util::Result<SnapshotPtr> DeserializeSnapshot(
+    std::span<const std::uint8_t> wire) {
   ByteReader r(wire);
   std::uint32_t magic = 0;
   if (!r.ReadU32(magic) || magic != kSnapshotMagic)
@@ -90,25 +81,7 @@ util::Result<Zone> DeserializeZone(std::span<const std::uint8_t> wire) {
     ROOTLESS_RETURN_IF_ERROR(zone.AddRRset(*rrset));
   }
   if (!r.at_end()) return Error("snapshot: trailing bytes");
-  return zone;
-}
-
-Bytes SerializeSnapshot(const ZoneSnapshot& snapshot) {
-  ByteWriter w;
-  w.WriteU32(kSnapshotMagic);
-  snapshot.apex().EncodeWire(w);
-  w.WriteU32(snapshot.Serial());
-  w.WriteVarint(snapshot.rrset_count());
-  snapshot.ForEachRRset(
-      [&](const dns::RRsetView& s) { WriteRRsetWire(s, w); });
-  return w.TakeData();
-}
-
-util::Result<SnapshotPtr> DeserializeSnapshot(
-    std::span<const std::uint8_t> wire) {
-  auto zone = DeserializeZone(wire);
-  if (!zone.ok()) return zone.error();
-  return ZoneSnapshot::Build(*zone);
+  return ZoneSnapshot::Build(zone);
 }
 
 }  // namespace rootless::zone

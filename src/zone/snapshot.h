@@ -8,24 +8,18 @@
 #include "dns/rr.h"
 #include "util/bytes.h"
 #include "util/result.h"
-#include "zone/zone.h"
 #include "zone/zone_snapshot.h"
 
 namespace rootless::zone {
 
-// Low-level RRset wire helpers (no compression; rdata names uncompressed).
+// The one RRset codec of the snapshot and diff formats (no compression;
+// rdata names uncompressed).
 void WriteRRsetWire(const dns::RRset& rrset, util::ByteWriter& writer);
 void WriteRRsetWire(const dns::RRsetView& rrset, util::ByteWriter& writer);
 util::Result<dns::RRset> ReadRRsetWire(util::ByteReader& reader);
 
-// Whole-zone snapshot.
-util::Bytes SerializeZone(const Zone& zone);
-util::Result<Zone> DeserializeZone(std::span<const std::uint8_t> wire);
-
-// Same wire format, reading straight from / building straight into an
-// immutable ZoneSnapshot. SerializeSnapshot(ZoneSnapshot::Build(z)) is
-// byte-identical to SerializeZone(z), so the two ends of a distribution
-// channel can mix freely.
+// Whole-zone snapshot. Deserializing collects the RRsets in a mutable Zone
+// (which merges repeated keys) and builds the snapshot from it.
 util::Bytes SerializeSnapshot(const ZoneSnapshot& snapshot);
 util::Result<SnapshotPtr> DeserializeSnapshot(
     std::span<const std::uint8_t> wire);

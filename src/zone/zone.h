@@ -1,39 +1,20 @@
-// Zone container with authoritative lookup semantics.
+// The mutable form of a zone, filled before it is frozen into a snapshot.
 //
-// A Zone holds the RRsets of one zone cut (e.g. the root zone), keyed by
-// (owner, type, class) in canonical order, and implements the decision logic
-// an authoritative server applies to a query: answer, referral (delegation),
-// NODATA or NXDOMAIN (RFC 1034 §4.3.2 restricted to the in-zone cases).
+// A Zone collects the RRsets of one zone cut (e.g. the root zone), keyed by
+// (owner, type, class) in canonical order. It is what the zone model, the
+// signer, the master-file and AXFR readers fill; everything that serves or
+// diffs a zone reads the immutable ZoneSnapshot built from it
+// (zone_snapshot.h).
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "dns/rr.h"
 #include "util/result.h"
 
 namespace rootless::zone {
-
-enum class LookupDisposition {
-  kAnswer,     // qname/qtype found
-  kReferral,   // delegation NS found below the apex
-  kNoData,     // qname exists, qtype does not
-  kNxDomain,   // qname does not exist
-  kOutOfZone,  // qname not under the apex
-};
-
-struct LookupResult {
-  LookupDisposition disposition = LookupDisposition::kOutOfZone;
-  // kAnswer: the matching RRset (plus covering RRSIG if the zone is signed).
-  std::vector<dns::RRset> answers;
-  // kReferral: delegation NS RRset; kNoData/kNxDomain: the SOA.
-  std::vector<dns::RRset> authority;
-  // Glue A/AAAA for referral nameservers that are in-zone.
-  std::vector<dns::RRset> additional;
-};
 
 class Zone {
  public:
@@ -42,8 +23,7 @@ class Zone {
   const dns::Name& apex() const { return apex_; }
 
   // Adds a record, merging into the existing RRset (duplicates dropped, set
-  // TTL = min). Fails if the record's class conflicts or the owner is out of
-  // zone.
+  // TTL = min). Fails if the owner is out of zone.
   util::Status AddRecord(const dns::ResourceRecord& record);
   util::Status AddRRset(const dns::RRset& rrset);
 
@@ -52,25 +32,15 @@ class Zone {
   void Clear();
 
   const dns::RRset* Find(const dns::Name& name, dns::RRType type) const;
-  bool HasName(const dns::Name& name) const;
 
   // The zone's SOA, if present.
   const dns::RRset* soa() const;
   // SOA serial, 0 if no SOA.
   std::uint32_t Serial() const;
 
-  // Authoritative query logic. `include_dnssec` attaches covering RRSIGs and
-  // the DS RRset at delegation points.
-  LookupResult Lookup(const dns::Name& qname, dns::RRType qtype,
-                      bool include_dnssec = false) const;
-
-  // Names that own an NS RRset strictly below the apex — for the root zone,
-  // the TLDs. Canonically ordered.
-  std::vector<dns::Name> DelegatedChildren() const;
-
   // All RRsets in canonical order.
   std::vector<dns::RRset> AllRRsets() const;
-  // Flat record list in canonical order.
+  // Flat record list in canonical order (the master-file writer's input).
   std::vector<dns::ResourceRecord> AllRecords() const;
 
   // Read-only view of the canonical (owner, type, class) → RRset map. Lets
@@ -88,18 +58,6 @@ class Zone {
   }
 
  private:
-  // Finds the closest delegation point at or above `name` (strictly below
-  // the apex). Returns nullptr if none.
-  const dns::RRset* FindDelegation(const dns::Name& name) const;
-
-  // Finds the NSEC RRset covering a nonexistent name (nullptr if the zone
-  // carries no NSEC chain).
-  const dns::RRset* FindCoveringNsec(const dns::Name& qname) const;
-
-  void AppendGlue(const dns::RRset& ns_set, LookupResult& result) const;
-  void AppendRrsig(const dns::Name& name, dns::RRType covered,
-                   std::vector<dns::RRset>& out) const;
-
   dns::Name apex_;
   std::map<dns::RRsetKey, dns::RRset> rrsets_;
 };

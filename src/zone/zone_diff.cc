@@ -1,12 +1,9 @@
 #include "zone/zone_diff.h"
 
-#include <map>
-
-#include "dns/message.h"
+#include "zone/snapshot.h"
 
 namespace rootless::zone {
 
-using dns::RRset;
 using dns::RRsetKey;
 using util::ByteReader;
 using util::Bytes;
@@ -14,44 +11,6 @@ using util::ByteWriter;
 using util::Error;
 
 namespace {
-
-// RRset wire helpers shared with the snapshot format: owner | type | class |
-// ttl | rdata-count | (len|rdata)*.
-void WriteRRset(const RRset& s, ByteWriter& w) {
-  s.name.EncodeWire(w);
-  w.WriteU16(static_cast<std::uint16_t>(s.type));
-  w.WriteU16(static_cast<std::uint16_t>(s.rrclass));
-  w.WriteU32(s.ttl);
-  w.WriteVarint(s.rdatas.size());
-  for (const auto& rd : s.rdatas) {
-    ByteWriter rw;
-    dns::EncodeRdata(rd, rw);
-    w.WriteVarint(rw.size());
-    w.WriteBytes(rw.span());
-  }
-}
-
-util::Result<RRset> ReadRRset(ByteReader& r) {
-  RRset s;
-  auto name = dns::Name::DecodeWire(r);
-  if (!name.ok()) return name.error();
-  s.name = std::move(*name);
-  std::uint16_t type = 0, rrclass = 0;
-  if (!r.ReadU16(type) || !r.ReadU16(rrclass) || !r.ReadU32(s.ttl))
-    return Error("diff: truncated rrset header");
-  s.type = static_cast<dns::RRType>(type);
-  s.rrclass = static_cast<dns::RRClass>(rrclass);
-  std::uint64_t count = 0;
-  if (!r.ReadVarint(count)) return Error("diff: truncated rdata count");
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t len = 0;
-    if (!r.ReadVarint(len)) return Error("diff: truncated rdata length");
-    auto rdata = dns::DecodeRdata(s.type, len, r);
-    if (!rdata.ok()) return rdata.error();
-    s.rdatas.push_back(std::move(*rdata));
-  }
-  return s;
-}
 
 void WriteKey(const RRsetKey& k, ByteWriter& w) {
   k.name.EncodeWire(w);
@@ -76,53 +35,15 @@ constexpr std::uint32_t kDiffMagic = 0x52444946;  // "RDIF"
 
 }  // namespace
 
-ZoneDiff DiffZones(const Zone& old_zone, const Zone& new_zone) {
-  ZoneDiff diff;
-  const auto old_list = old_zone.AllRRsets();
-  const auto new_list = new_zone.AllRRsets();
-  std::map<RRsetKey, const RRset*> old_index, new_index;
-  for (const auto& s : old_list) old_index[s.key()] = &s;
-  for (const auto& s : new_list) new_index[s.key()] = &s;
-
-  for (const auto& [key, set] : new_index) {
-    auto it = old_index.find(key);
-    if (it == old_index.end()) {
-      diff.added.push_back(*set);
-    } else if (!(*it->second == *set)) {
-      diff.changed.push_back(*set);
-    }
-  }
-  for (const auto& [key, set] : old_index) {
-    if (new_index.find(key) == new_index.end()) diff.removed.push_back(key);
-  }
-  return diff;
-}
-
-util::Status ApplyDiff(Zone& zone, const ZoneDiff& diff) {
-  for (const auto& key : diff.removed) {
-    if (!zone.RemoveRRset(key))
-      return Error("diff: removed key not present: " + key.name.ToString());
-  }
-  for (const auto& set : diff.changed) {
-    if (!zone.RemoveRRset(set.key()))
-      return Error("diff: changed key not present: " + set.name.ToString());
-    ROOTLESS_RETURN_IF_ERROR(zone.AddRRset(set));
-  }
-  for (const auto& set : diff.added) {
-    ROOTLESS_RETURN_IF_ERROR(zone.AddRRset(set));
-  }
-  return util::Status::Ok();
-}
-
 Bytes SerializeDiff(const ZoneDiff& diff) {
   ByteWriter w;
   w.WriteU32(kDiffMagic);
   w.WriteVarint(diff.added.size());
-  for (const auto& s : diff.added) WriteRRset(s, w);
+  for (const auto& s : diff.added) WriteRRsetWire(s, w);
   w.WriteVarint(diff.removed.size());
   for (const auto& k : diff.removed) WriteKey(k, w);
   w.WriteVarint(diff.changed.size());
-  for (const auto& s : diff.changed) WriteRRset(s, w);
+  for (const auto& s : diff.changed) WriteRRsetWire(s, w);
   return w.TakeData();
 }
 
@@ -135,7 +56,7 @@ util::Result<ZoneDiff> DeserializeDiff(std::span<const std::uint8_t> wire) {
   std::uint64_t n = 0;
   if (!r.ReadVarint(n)) return Error("diff: truncated");
   for (std::uint64_t i = 0; i < n; ++i) {
-    auto s = ReadRRset(r);
+    auto s = ReadRRsetWire(r);
     if (!s.ok()) return s.error();
     diff.added.push_back(std::move(*s));
   }
@@ -147,7 +68,7 @@ util::Result<ZoneDiff> DeserializeDiff(std::span<const std::uint8_t> wire) {
   }
   if (!r.ReadVarint(n)) return Error("diff: truncated");
   for (std::uint64_t i = 0; i < n; ++i) {
-    auto s = ReadRRset(r);
+    auto s = ReadRRsetWire(r);
     if (!s.ok()) return s.error();
     diff.changed.push_back(std::move(*s));
   }

@@ -1,6 +1,7 @@
-// Structural diff between two zone snapshots — the basis of the §5.2
+// Structural diff between two zone versions — the basis of the §5.2
 // incremental-distribution analysis (rsync-style deltas, IXFR-like updates)
-// and the staleness experiments.
+// and the staleness experiments. DiffSnapshots computes one and
+// ZoneSnapshot::Apply applies one (zone_snapshot.h).
 #pragma once
 
 #include <cstddef>
@@ -8,8 +9,8 @@
 #include <vector>
 
 #include "dns/rr.h"
+#include "util/bytes.h"
 #include "util/result.h"
-#include "zone/zone.h"
 
 namespace rootless::zone {
 
@@ -30,14 +31,10 @@ struct ZoneDiff {
   }
 };
 
-// Computes new - old.
-ZoneDiff DiffZones(const Zone& old_zone, const Zone& new_zone);
-
-// Applies a diff in place. Fails if a removed/changed key is absent.
-util::Status ApplyDiff(Zone& zone, const ZoneDiff& diff);
-
 // Compact binary serialization of a diff (the "diffs file" the paper floats
-// in §5.3 as a cheap way to learn about new TLDs).
+// in §5.3 as a cheap way to learn about new TLDs): magic | added | removed
+// keys | changed, each RRset in the snapshot format's RRset codec
+// (snapshot.h).
 util::Bytes SerializeDiff(const ZoneDiff& diff);
 util::Result<ZoneDiff> DeserializeDiff(std::span<const std::uint8_t> wire);
 

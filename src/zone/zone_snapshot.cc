@@ -26,18 +26,6 @@ std::weak_ordering CompareKey(const Name& an, RRType at, dns::RRClass ac,
 
 }  // namespace
 
-LookupResult LookupView::Materialize() const {
-  LookupResult out;
-  out.disposition = disposition;
-  out.answers.reserve(answers.size());
-  for (const auto& v : answers) out.answers.push_back(v.Materialize());
-  out.authority.reserve(authority.size());
-  for (const auto& v : authority) out.authority.push_back(v.Materialize());
-  out.additional.reserve(additional.size());
-  for (const auto& v : additional) out.additional.push_back(v.Materialize());
-  return out;
-}
-
 void ZoneSnapshot::StoreRRset(const RRset& set, Page& page) {
   StoredRRset s;
   s.name = set.name;
@@ -159,7 +147,7 @@ util::Result<SnapshotPtr> ZoneSnapshot::Apply(const SnapshotPtr& base,
     return e != nullptr && e->set->rrclass == key.rrclass;
   };
 
-  // Replays ApplyDiff's removed → changed → added order against a key-level
+  // Replays the removed → changed → added order against a key-level
   // overlay: `erased` marks base keys deleted, `delta` holds new content.
   // The final index keeps a base entry iff its key is in neither.
   std::set<RRsetKey> erased;
@@ -508,8 +496,8 @@ std::size_t ZoneSnapshot::SharedPageCount(const ZoneSnapshot& other) const {
 
 ZoneDiff DiffSnapshots(const ZoneSnapshot& old_snapshot,
                        const ZoneSnapshot& new_snapshot) {
-  // Lockstep walk over the two canonical indexes — same output as DiffZones
-  // on the equivalent Zones, without building key maps.
+  // Lockstep walk over the two canonical indexes, without building key
+  // maps.
   ZoneDiff diff;
   const auto& oi = old_snapshot.index_;
   const auto& ni = new_snapshot.index_;

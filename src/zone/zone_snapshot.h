@@ -1,12 +1,13 @@
-// Immutable, arena-backed zone snapshot shared zero-copy across layers.
+// Immutable, arena-backed zone snapshot shared zero-copy across layers: the
+// one zone form that anything serves, resolves, diffs or distributes.
 //
-// A ZoneSnapshot is built once from a Zone (or derived from a parent snapshot
-// plus a ZoneDiff) and then handed around as a cheap refcounted value
-// (SnapshotPtr). All names and rdata live in contiguous per-page arenas; the
-// snapshot's sorted index stores borrowed pointers into those pages, and every
-// read API hands out dns::RRsetView spans over the same memory — consumers
-// (resolver::ZoneDb, rootsrv::AuthServer, distrib) never copy an RRset on the
-// serving path.
+// A ZoneSnapshot is built once from a mutable Zone (or derived from a parent
+// snapshot plus a ZoneDiff) and then handed around as a cheap refcounted
+// value (SnapshotPtr). All names and rdata live in contiguous per-page
+// arenas; the snapshot's sorted index stores borrowed pointers into those
+// pages, and every read API hands out dns::RRsetView spans over the same
+// memory — consumers (resolver::ZoneDb, rootsrv::AuthServer, distrib) never
+// copy an RRset on the serving path.
 //
 // Structural sharing: Apply() does not rebuild the arena. It allocates ONE new
 // delta page holding deep copies of only the added/changed RRsets, shares
@@ -21,9 +22,10 @@
 // whole zone. The sorted index stays the single source of canonical order
 // (iteration, diffs, AXFR, the covering-NSEC search).
 //
-// Lookup() mirrors zone::Zone::Lookup decision-for-decision (answer /
-// referral / NODATA / NXDOMAIN, DS-at-cut, CNAME, covering NSEC) so the two
-// paths are behaviourally interchangeable; zone_snapshot_test checks parity.
+// Lookup() is the authoritative decision logic of RFC 1034 §4.3.2 (answer /
+// referral / NODATA / NXDOMAIN, DS-at-cut, CNAME, covering NSEC). The
+// LookupDifferential tests check it against an independent reference walk
+// over a Zone's canonical map (tests/reference_lookup.h).
 #pragma once
 
 #include <cstdint>
@@ -43,9 +45,20 @@ namespace rootless::zone {
 class ZoneSnapshot;
 using SnapshotPtr = std::shared_ptr<const ZoneSnapshot>;
 
-// Borrowed analogue of LookupResult: sections are views into the snapshot's
-// arenas, valid while the snapshot is alive. Designed to be reused as
-// per-server scratch (clear + refill, capacity retained).
+enum class LookupDisposition {
+  kAnswer,     // qname/qtype found
+  kReferral,   // delegation NS found below the apex
+  kNoData,     // qname exists, qtype does not
+  kNxDomain,   // qname does not exist
+  kOutOfZone,  // qname not under the apex
+};
+
+// The sections of one lookup, as views into the snapshot's arenas, valid
+// while the snapshot is alive. kAnswer: the matching RRset (plus covering
+// RRSIG); kReferral: the delegation NS (plus DS) in authority and in-zone
+// glue in additional; kNoData/kNxDomain: the SOA (plus covering NSEC).
+// Designed to be reused as per-server scratch (clear + refill, capacity
+// retained).
 struct LookupView {
   LookupDisposition disposition = LookupDisposition::kOutOfZone;
   std::vector<dns::RRsetView> answers;
@@ -58,9 +71,6 @@ struct LookupView {
     authority.clear();
     additional.clear();
   }
-
-  // Deep copy into the owning LookupResult form (tests, loopback compat).
-  LookupResult Materialize() const;
 };
 
 class ZoneSnapshot {
@@ -71,9 +81,9 @@ class ZoneSnapshot {
 
   // Derives a new snapshot from `base` by applying `diff`. Parent pages are
   // shared by refcount; only added/changed RRsets are deep-copied into one
-  // new delta page. Same semantics (and failure cases) as zone::ApplyDiff:
-  // removed/changed keys must exist, added RRsets merge (min TTL, append
-  // missing rdatas) if the key already exists.
+  // new delta page. Applied in removed → changed → added order: removed
+  // and changed keys must exist, added RRsets merge (min TTL, append missing
+  // rdatas) like Zone::AddRRset if the key already exists.
   static util::Result<SnapshotPtr> Apply(const SnapshotPtr& base,
                                          const ZoneDiff& diff);
 
@@ -89,8 +99,9 @@ class ZoneSnapshot {
   bool HasName(const dns::Name& name) const;
   std::optional<dns::RRsetView> soa() const;
 
-  // Authoritative query logic, identical to Zone::Lookup but emitting views.
-  // `out` is caller-owned scratch (cleared first).
+  // Authoritative query logic. `include_dnssec` attaches covering RRSIGs,
+  // the DS RRset at delegation points and the covering NSEC. `out` is
+  // caller-owned scratch (cleared first).
   void Lookup(const dns::Name& qname, dns::RRType qtype, bool include_dnssec,
               LookupView& out) const;
   LookupView Lookup(const dns::Name& qname, dns::RRType qtype,
@@ -216,8 +227,8 @@ class ZoneSnapshot {
   const Entry* last_nsec_ = nullptr;  // wrap-around NSEC (last in the chain)
 };
 
-// Computes new - old by lockstep walk over the two sorted indexes; produces
-// the same diff as DiffZones on the equivalent Zones. O(n) with no maps.
+// Computes new - old by lockstep walk over the two sorted indexes, each
+// section in canonical order. O(n) with no maps.
 ZoneDiff DiffSnapshots(const ZoneSnapshot& old_snapshot,
                        const ZoneSnapshot& new_snapshot);
 

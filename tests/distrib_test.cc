@@ -2,12 +2,18 @@
 // algorithm, cost models, swarm simulation, and the fetch service.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "crypto/dnssec.h"
+#include "crypto/sha256.h"
 #include "distrib/fetch_service.h"
 #include "distrib/mechanisms.h"
 #include "distrib/rsync.h"
 #include "util/rng.h"
 #include "zone/evolution.h"
+#include "zone/sign.h"
 #include "zone/snapshot.h"
+#include "zone/zone_diff.h"
 
 namespace rootless::distrib {
 namespace {
@@ -18,23 +24,57 @@ util::Bytes RandomBytes(util::Rng& rng, std::size_t n) {
   return out;
 }
 
+// The snapshot wire format of a model zone.
+util::Bytes Wire(const zone::Zone& zone) {
+  return zone::SerializeSnapshot(*zone::ZoneSnapshot::Build(zone));
+}
+
+std::string Sha256Hex(const util::Bytes& bytes) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : crypto::Sha256::Hash(bytes)) {
+    out += kHex[b >> 4];
+    out += kHex[b & 15];
+  }
+  return out;
+}
+
 // ---------------------------------------------------------------- snapshot
 
 TEST(Snapshot, ZoneRoundTrip) {
   const zone::RootZoneModel model;
   const zone::Zone original = model.Snapshot({2019, 4, 1});
-  const auto wire = zone::SerializeZone(original);
-  auto decoded = zone::DeserializeZone(wire);
+  const zone::SnapshotPtr snapshot = zone::ZoneSnapshot::Build(original);
+  auto decoded = zone::DeserializeSnapshot(zone::SerializeSnapshot(*snapshot));
   ASSERT_TRUE(decoded.ok()) << decoded.error().message();
-  EXPECT_TRUE(*decoded == original);
+  EXPECT_TRUE((*decoded)->SameContent(*snapshot));
+  EXPECT_TRUE((*decoded)->ToZone() == original);
 }
 
 TEST(Snapshot, RejectsCorruption) {
   const zone::RootZoneModel model;
-  auto wire = zone::SerializeZone(model.Snapshot({2019, 4, 1}));
-  EXPECT_FALSE(zone::DeserializeZone(util::Bytes{9, 9, 9, 9}).ok());
+  auto wire = Wire(model.Snapshot({2019, 4, 1}));
+  EXPECT_FALSE(zone::DeserializeSnapshot(util::Bytes{9, 9, 9, 9}).ok());
   wire.resize(wire.size() / 2);
-  EXPECT_FALSE(zone::DeserializeZone(wire).ok());
+  EXPECT_FALSE(zone::DeserializeSnapshot(wire).ok());
+}
+
+// The snapshot and diff formats share one RRset codec; these digests pin
+// both formats' bytes, so any drift in either (or in the codec) fails here.
+TEST(Snapshot, DiffAndSnapshotBytesArePinned) {
+  const zone::RootZoneModel model;
+  const zone::ZoneDiff diff = zone::DiffSnapshots(
+      *zone::ZoneSnapshot::Build(model.Snapshot({2019, 4, 1})),
+      *zone::ZoneSnapshot::Build(model.Snapshot({2019, 4, 2})));
+  EXPECT_EQ(Sha256Hex(zone::SerializeDiff(diff)),
+            "e226bd63d7c5b60bb5d1739d737aa1d1bd5fa7319610bd217a60892441eb53e8");
+
+  util::Rng rng(7);
+  const crypto::SigningKey zsk = crypto::GenerateKey(crypto::kZskFlags, rng);
+  const zone::Zone signed_zone =
+      zone::SignZone(model.Snapshot({2019, 6, 7}), zsk, {0, 2'000'000'000});
+  EXPECT_EQ(Sha256Hex(Wire(signed_zone)),
+            "e0fdda5eaced003b748dbc74e32f920544d2d4d83681224a161c25adce9f3fba");
 }
 
 // ------------------------------------------------------------------ rsync
@@ -152,7 +192,7 @@ TEST(Rsync, ApplyRejectsWrongBase) {
 TEST(RsyncProperty, RandomZoneMutationsReconstruct) {
   util::Rng rng(9);
   const zone::RootZoneModel model;
-  const auto base = zone::SerializeZone(model.Snapshot({2019, 4, 1}));
+  const auto base = Wire(model.Snapshot({2019, 4, 1}));
   for (int trial = 0; trial < 20; ++trial) {
     util::Bytes mutated = base;
     const int edits = 1 + static_cast<int>(rng.Below(20));
@@ -182,8 +222,8 @@ TEST(Rsync, DailyZoneDeltaIsTinyVersusFullFile) {
   // The §5.2 claim in miniature: consecutive daily snapshots differ little,
   // so the rsync delta is a small fraction of the full file.
   const zone::RootZoneModel model;
-  const auto day1 = zone::SerializeZone(model.Snapshot({2019, 4, 1}));
-  const auto day2 = zone::SerializeZone(model.Snapshot({2019, 4, 2}));
+  const auto day1 = Wire(model.Snapshot({2019, 4, 1}));
+  const auto day2 = Wire(model.Snapshot({2019, 4, 2}));
   const auto sig = ComputeSignature(day1, 2048);
   const Delta delta = ComputeDelta(sig, day2);
   auto rebuilt = ApplyDelta(day1, delta);

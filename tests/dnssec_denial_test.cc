@@ -53,6 +53,22 @@ struct SignedEnv {
   }
 };
 
+// A dnssec A lookup of `qname` on the snapshot of `zone`, its authority
+// section materialized (the denial validator reads owning RRsets).
+struct Denial {
+  zone::LookupDisposition disposition;
+  std::vector<RRset> authority;
+};
+Denial LookupDenial(const zone::Zone& zone, const Name& qname) {
+  const zone::SnapshotPtr snapshot = zone::ZoneSnapshot::Build(zone);
+  const zone::LookupView view = snapshot->Lookup(qname, RRType::kA, true);
+  Denial out{view.disposition, {}};
+  for (const auto& set : view.authority) {
+    out.authority.push_back(set.Materialize());
+  }
+  return out;
+}
+
 TEST(NsecChain, CoversEveryOwnerOnce) {
   SignedEnv env;
   const auto chain =
@@ -123,8 +139,7 @@ TEST(SignedZone, ValidatesCompletely) {
 
 TEST(SignedZone, NxdomainCarriesProvableDenial) {
   SignedEnv env;
-  const auto result =
-      env.signed_zone.Lookup(N("foo.bogus."), RRType::kA, true);
+  const Denial result = LookupDenial(env.signed_zone, N("foo.bogus."));
   EXPECT_EQ(result.disposition, zone::LookupDisposition::kNxDomain);
 
   auto status = crypto::ValidateDenial(N("foo.bogus."), result.authority,
@@ -135,7 +150,7 @@ TEST(SignedZone, NxdomainCarriesProvableDenial) {
 TEST(SignedZone, DenialForNameBeforeFirstOwner) {
   SignedEnv env;
   // "aa." sorts before "com." — needs the wrap-around NSEC.
-  const auto result = env.signed_zone.Lookup(N("aa."), RRType::kA, true);
+  const Denial result = LookupDenial(env.signed_zone, N("aa."));
   EXPECT_EQ(result.disposition, zone::LookupDisposition::kNxDomain);
   auto status = crypto::ValidateDenial(N("aa."), result.authority,
                                        env.zsk.dnskey, env.store, 5000);
@@ -189,8 +204,7 @@ TEST(ValidateDenial, PicksTheRrsigOfTheValidatingKey) {
   util::Rng rng(77);
   const crypto::SigningKey next = crypto::GenerateKey(crypto::kZskFlags, rng);
   env.store.AddKey(next);
-  auto authority = env.signed_zone.Lookup(N("foo.bogus."), RRType::kA, true)
-                       .authority;
+  auto authority = LookupDenial(env.signed_zone, N("foo.bogus.")).authority;
   for (auto& set : authority) {
     if (set.type != RRType::kRRSIG) continue;
     const RRset* covered = env.signed_zone.Find(
@@ -247,17 +261,17 @@ struct AttackEnv {
   sim::Network net{sim, 5};
   topo::Topology registry;
   SignedEnv keys;
-  std::shared_ptr<zone::Zone> signed_zone;
   zone::SnapshotPtr signed_snapshot;
   std::unique_ptr<rootsrv::AuthServer> root;
   std::unique_ptr<rootsrv::TldFarm> farm;
 
   AttackEnv() {
     net.set_latency_fn(registry.LatencyFn());
-    signed_zone = std::make_shared<zone::Zone>(keys.signed_zone);
-    signed_snapshot = zone::ZoneSnapshot::Build(*signed_zone);
-    root = std::make_unique<rootsrv::AuthServer>(net, signed_snapshot,
-                                                 /*include_dnssec=*/true);
+    signed_snapshot = zone::ZoneSnapshot::Build(keys.signed_zone);
+    rootsrv::AuthServer::Options options;
+    options.include_dnssec = true;
+    root = std::make_unique<rootsrv::AuthServer>(&net, signed_snapshot,
+                                                 options);
     registry.PlaceNode(root->node(), {40, -74});
     farm = std::make_unique<rootsrv::TldFarm>(net, registry, *signed_snapshot,
                                               9);

@@ -283,9 +283,8 @@ LossyRunOutcome RunLossyResolverScenario() {
   net.set_fault_injector(&faults);
 
   const zone::RootZoneModel zone_model;
-  auto root_zone =
-      std::make_shared<zone::Zone>(zone_model.Snapshot({2018, 4, 11}));
-  const zone::SnapshotPtr snapshot = zone::ZoneSnapshot::Build(*root_zone);
+  const zone::SnapshotPtr snapshot =
+      zone::ZoneSnapshot::Build(zone_model.Snapshot({2018, 4, 11}));
   rootsrv::RootServerFleet fleet(net, registry, snapshot);
   rootsrv::TldFarm farm(net, registry, *snapshot, 3);
 
@@ -304,7 +303,7 @@ LossyRunOutcome RunLossyResolverScenario() {
   r.SetTldFarm(&farm);
 
   std::vector<std::string> tlds;
-  for (const auto& child : root_zone->DelegatedChildren())
+  for (const auto& child : snapshot->DelegatedChildren())
     tlds.push_back(child.tld());
 
   LossyRunOutcome out;

@@ -104,13 +104,15 @@ TEST(Fuzz, SnapshotAndDiffDecodersNeverCrash) {
   config.legacy_tld_count = 20;
   config.peak_tld_count = 25;
   const zone::RootZoneModel model(config);
-  const auto snapshot = zone::SerializeZone(model.Snapshot({2019, 4, 1}));
-  const auto diff = zone::SerializeDiff(
-      DiffZones(model.Snapshot({2019, 4, 1}), model.Snapshot({2019, 4, 5})));
+  const zone::SnapshotPtr day1 =
+      zone::ZoneSnapshot::Build(model.Snapshot({2019, 4, 1}));
+  const auto snapshot = zone::SerializeSnapshot(*day1);
+  const auto diff = zone::SerializeDiff(zone::DiffSnapshots(
+      *day1, *zone::ZoneSnapshot::Build(model.Snapshot({2019, 4, 5}))));
   for (int i = 0; i < 1500; ++i) {
-    (void)zone::DeserializeZone(Mutate(snapshot, rng));
+    (void)zone::DeserializeSnapshot(Mutate(snapshot, rng));
     (void)zone::DeserializeDiff(Mutate(diff, rng));
-    (void)zone::DeserializeZone(RandomBytes(rng, 100));
+    (void)zone::DeserializeSnapshot(RandomBytes(rng, 100));
     (void)zone::DeserializeDiff(RandomBytes(rng, 100));
   }
 }
@@ -150,14 +152,16 @@ TEST(Fuzz, DiffChannelApplyNeverCrashes) {
   config.legacy_tld_count = 15;
   config.peak_tld_count = 20;
   const zone::RootZoneModel model(config);
-  distrib::DiffPublisher publisher(model.Snapshot({2019, 4, 1}));
-  publisher.Publish(model.Snapshot({2019, 4, 2}));
+  const zone::SnapshotPtr day1 =
+      zone::ZoneSnapshot::Build(model.Snapshot({2019, 4, 1}));
+  distrib::DiffPublisher publisher(day1);
+  publisher.Publish(zone::ZoneSnapshot::Build(model.Snapshot({2019, 4, 2})));
   auto update = publisher.UpdatesSince(
       zone::RootZoneModel::SerialFor({2019, 4, 1}));
   for (int i = 0; i < 1000; ++i) {
     auto mutated = update;
     mutated.payload = Mutate(update.payload, rng);
-    distrib::DiffSubscriber subscriber(model.Snapshot({2019, 4, 1}));
+    distrib::DiffSubscriber subscriber(day1);
     (void)subscriber.Apply(mutated);
   }
 }
@@ -210,16 +214,16 @@ TEST(Fuzz, AuthServerSurvivesHostileDatagrams) {
   // must draw no response at all.
   sim::Simulator sim;
   sim::Network net(sim, 5);
-  auto zone = std::make_shared<zone::Zone>();
+  zone::Zone zone;
   dns::SoaData soa;
   soa.mname = *dns::Name::Parse("a.root-servers.net.");
   soa.serial = 1;
-  ASSERT_TRUE(zone->AddRecord({dns::Name(), dns::RRType::kSOA,
-                               dns::RRClass::kIN, 86400, soa})
+  ASSERT_TRUE(zone.AddRecord({dns::Name(), dns::RRType::kSOA,
+                              dns::RRClass::kIN, 86400, soa})
                   .ok());
   rootsrv::AuthServer::Options options;
   options.respond_formerr_to_garbage = true;
-  rootsrv::AuthServer server(&net, zone::ZoneSnapshot::Build(*zone), options);
+  rootsrv::AuthServer server(&net, zone::ZoneSnapshot::Build(zone), options);
 
   std::size_t responses = 0;
   const sim::NodeId client = net.AddNode([&](const sim::Datagram& d) {

@@ -3,8 +3,6 @@
 // and interceptor accounting.
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "analysis/report.h"
 #include "rootsrv/auth_server.h"
 #include "sim/network.h"
@@ -60,16 +58,23 @@ TEST(AuthServerEdge, ServesSignedZoneWithDnssecSections) {
                   .AddRecord({N("com."), RRType::kDS, RRClass::kIN, 86400,
                               dns::DsData{1, 8, 2, {0xAB}}})
                   .ok());
-  auto signed_zone =
-      std::make_shared<zone::Zone>(zone::SignZone(plain, zsk, {0, 10000}));
-
   sim::Simulator sim;
   sim::Network net(sim, 2);
-  rootsrv::AuthServer server(net, signed_zone, /*include_dnssec=*/true);
+  rootsrv::AuthServer::Options options;
+  options.include_dnssec = true;
+  rootsrv::AuthServer server(
+      &net, zone::ZoneSnapshot::Build(zone::SignZone(plain, zsk, {0, 10000})),
+      options);
+  // The untruncated response, decoded (TCP never truncates).
+  const auto answer = [&server](const dns::Message& query) {
+    auto response = dns::DecodeMessage(
+        server.AnswerWire(query, rootsrv::Channel::kTcp));
+    EXPECT_TRUE(response.ok());
+    return response.ok() ? *response : dns::Message{};
+  };
 
   // Referral carries DS + RRSIG(DS).
-  const auto referral =
-      server.Answer(dns::MakeQuery(1, N("www.x.com."), RRType::kA));
+  const auto referral = answer(dns::MakeQuery(1, N("www.x.com."), RRType::kA));
   bool has_ds = false, has_rrsig = false;
   for (const auto& rr : referral.authority) {
     has_ds |= rr.type == RRType::kDS;
@@ -79,8 +84,7 @@ TEST(AuthServerEdge, ServesSignedZoneWithDnssecSections) {
   EXPECT_TRUE(has_rrsig);
 
   // NXDOMAIN carries a signed covering NSEC.
-  const auto denial =
-      server.Answer(dns::MakeQuery(2, N("junk.bogus."), RRType::kA));
+  const auto denial = answer(dns::MakeQuery(2, N("junk.bogus."), RRType::kA));
   EXPECT_EQ(denial.header.rcode, dns::RCode::kNXDomain);
   bool has_nsec = false;
   for (const auto& rr : denial.authority) has_nsec |= rr.type == RRType::kNSEC;
@@ -129,7 +133,7 @@ TEST(EvolutionEdge, ExtremeConfigsStayConsistent) {
   // always schedules ".llc" and a post-ramp trickle later on).
   EXPECT_EQ(tiny_model.TldCountOn({2013, 1, 1}), 1);
   const zone::Zone z = tiny_model.Snapshot({2013, 1, 1});
-  EXPECT_EQ(z.DelegatedChildren().size(), 1u);
+  EXPECT_EQ(zone::ZoneSnapshot::Build(z)->DelegatedChildren().size(), 1u);
   EXPECT_NE(z.soa(), nullptr);
 
   // Heavy churn still yields valid, parseable zones.
@@ -141,7 +145,8 @@ TEST(EvolutionEdge, ExtremeConfigsStayConsistent) {
   const zone::RootZoneModel churny_model(churny);
   const zone::Zone day1 = churny_model.Snapshot({2019, 5, 1});
   const zone::Zone day2 = churny_model.Snapshot({2019, 5, 2});
-  const auto diff = zone::DiffZones(day1, day2);
+  const auto diff = zone::DiffSnapshots(*zone::ZoneSnapshot::Build(day1),
+                                        *zone::ZoneSnapshot::Build(day2));
   EXPECT_GT(diff.change_count(), 1u);
   auto reparsed = zone::ParseMasterFile(
       zone::SerializeMasterFile(day2.AllRecords()));
@@ -180,7 +185,7 @@ TEST(ZoneSignEdge, ResigningAfterChangeRevalidates) {
   EXPECT_TRUE(zone::ValidateSignedZone(signed2, zsk.dnskey, store, 500).ok());
   // Mixing v2 data with v1 signatures must fail: splice one v2 RRset in.
   zone::Zone frankenstein = signed1;
-  const auto children = v2.DelegatedChildren();
+  const auto children = zone::ZoneSnapshot::Build(v2)->DelegatedChildren();
   const dns::RRset* donor = v2.Find(children.front(), RRType::kNS);
   ASSERT_NE(donor, nullptr);
   dns::RRset mutated = *donor;

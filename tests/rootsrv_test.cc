@@ -26,7 +26,8 @@ struct Fixture {
   sim::Simulator sim;
   sim::Network net{sim, 11};
   topo::Topology registry;
-  std::shared_ptr<zone::Zone> root_zone = std::make_shared<zone::Zone>();
+  zone::Zone root_zone;
+  zone::SnapshotPtr snapshot;
 
   Fixture() {
     net.set_latency_fn(registry.LatencyFn());
@@ -34,26 +35,35 @@ struct Fixture {
     soa.mname = N("a.root-servers.net.");
     soa.serial = 2018041100;
     EXPECT_TRUE(root_zone
-                    ->AddRecord({Name(), RRType::kSOA, dns::RRClass::kIN,
-                                 86400, soa})
+                    .AddRecord({Name(), RRType::kSOA, dns::RRClass::kIN,
+                                86400, soa})
                     .ok());
     EXPECT_TRUE(root_zone
-                    ->AddRecord({N("com."), RRType::kNS, dns::RRClass::kIN,
-                                 172800, dns::NsData{N("ns.nic.com.")}})
+                    .AddRecord({N("com."), RRType::kNS, dns::RRClass::kIN,
+                                172800, dns::NsData{N("ns.nic.com.")}})
                     .ok());
     EXPECT_TRUE(root_zone
-                    ->AddRecord({N("ns.nic.com."), RRType::kA,
-                                 dns::RRClass::kIN, 172800,
-                                 dns::AData{*dns::Ipv4::Parse("192.0.2.1")}})
+                    .AddRecord({N("ns.nic.com."), RRType::kA,
+                                dns::RRClass::kIN, 172800,
+                                dns::AData{*dns::Ipv4::Parse("192.0.2.1")}})
                     .ok());
+    snapshot = zone::ZoneSnapshot::Build(root_zone);
   }
 };
 
+// The untruncated response to `query`, decoded (TCP never truncates).
+dns::Message Answer(AuthServer& server, const dns::Message& query,
+                    Channel channel = Channel::kTcp) {
+  auto response = dns::DecodeMessage(server.AnswerWire(query, channel));
+  EXPECT_TRUE(response.ok());
+  return response.ok() ? *response : dns::Message{};
+}
+
 TEST(AuthServer, AnswersReferral) {
   Fixture f;
-  AuthServer server(f.net, f.root_zone);
+  AuthServer server(&f.net, f.snapshot, {});
   const auto query = dns::MakeQuery(7, N("www.example.com."), RRType::kA);
-  const auto response = server.Answer(query);
+  const auto response = Answer(server, query);
   EXPECT_EQ(response.header.rcode, dns::RCode::kNoError);
   EXPECT_FALSE(response.header.aa);
   ASSERT_FALSE(response.authority.empty());
@@ -64,9 +74,9 @@ TEST(AuthServer, AnswersReferral) {
 
 TEST(AuthServer, AnswersNxdomainForBogusTld) {
   Fixture f;
-  AuthServer server(f.net, f.root_zone);
+  AuthServer server(&f.net, f.snapshot, {});
   const auto response =
-      server.Answer(dns::MakeQuery(8, N("foo.bogus-junk."), RRType::kA));
+      Answer(server, dns::MakeQuery(8, N("foo.bogus-junk."), RRType::kA));
   EXPECT_EQ(response.header.rcode, dns::RCode::kNXDomain);
   EXPECT_TRUE(response.header.aa);
   ASSERT_FALSE(response.authority.empty());
@@ -76,7 +86,7 @@ TEST(AuthServer, AnswersNxdomainForBogusTld) {
 
 TEST(AuthServer, RespondsOverNetwork) {
   Fixture f;
-  AuthServer server(f.net, f.root_zone);
+  AuthServer server(&f.net, f.snapshot, {});
   dns::Message got;
   const sim::NodeId client = f.net.AddNode([&](const sim::Datagram& d) {
     auto m = dns::DecodeMessage(d.payload);
@@ -97,7 +107,7 @@ TEST(AuthServer, RespondsOverNetwork) {
 
 TEST(AuthServer, DropsMalformedQueries) {
   Fixture f;
-  AuthServer server(f.net, f.root_zone);
+  AuthServer server(&f.net, f.snapshot, {});
   const sim::NodeId client = f.net.AddNode(nullptr);
   f.net.Send(client, server.node(), util::Bytes{1, 2, 3});
   f.sim.Run();
@@ -106,17 +116,17 @@ TEST(AuthServer, DropsMalformedQueries) {
 
 TEST(AuthServer, ZoneSwapTakesEffect) {
   Fixture f;
-  AuthServer server(f.net, f.root_zone);
-  auto new_zone = std::make_shared<zone::Zone>(*f.root_zone);
+  AuthServer server(&f.net, f.snapshot, {});
+  zone::Zone new_zone = f.root_zone;
   ASSERT_TRUE(new_zone
-                  ->AddRecord({N("dev."), RRType::kNS, dns::RRClass::kIN,
-                               172800, dns::NsData{N("ns.nic.dev.")}})
+                  .AddRecord({N("dev."), RRType::kNS, dns::RRClass::kIN,
+                              172800, dns::NsData{N("ns.nic.dev.")}})
                   .ok());
-  EXPECT_EQ(server.Answer(dns::MakeQuery(1, N("a.dev."), RRType::kA))
+  EXPECT_EQ(Answer(server, dns::MakeQuery(1, N("a.dev."), RRType::kA))
                 .header.rcode,
             dns::RCode::kNXDomain);
-  server.SetZone(new_zone);
-  EXPECT_EQ(server.Answer(dns::MakeQuery(2, N("a.dev."), RRType::kA))
+  server.SetZone(zone::ZoneSnapshot::Build(new_zone));
+  EXPECT_EQ(Answer(server, dns::MakeQuery(2, N("a.dev."), RRType::kA))
                 .header.rcode,
             dns::RCode::kNoError);
 }
@@ -188,7 +198,7 @@ TEST(AuthServerEdns, HonorsRequestorPayloadTiers) {
 
 TEST(AuthServerEdns, EchoesOptWhenResponseFits) {
   Fixture f;
-  AuthServer server(f.net, f.root_zone);
+  AuthServer server(&f.net, f.snapshot, {});
   const auto wire = server.AnswerWire(
       WithOpt(dns::MakeQuery(1, N("www.com."), RRType::kA), 1232));
   EXPECT_FALSE(TcBit(wire));
@@ -230,32 +240,32 @@ TEST(AuthServerEdns, TcpNeverTruncates) {
 
 TEST(AuthServerPreflight, ScreensProtocolViolations) {
   Fixture f;
-  AuthServer server(f.net, f.root_zone);
+  AuthServer server(&f.net, f.snapshot, {});
 
   // Two questions: FORMERR.
   auto two_questions = dns::MakeQuery(1, N("a.com."), RRType::kA);
   two_questions.questions.push_back({N("b.com."), RRType::kA,
                                      dns::RRClass::kIN});
-  EXPECT_EQ(server.Answer(two_questions).header.rcode, dns::RCode::kFormErr);
+  EXPECT_EQ(Answer(server, two_questions).header.rcode, dns::RCode::kFormErr);
 
   // Two OPT records: FORMERR (RFC 6891 §6.1.1).
   const auto two_opts =
       WithOpt(WithOpt(dns::MakeQuery(2, N("a.com."), RRType::kA), 1232), 1232);
-  EXPECT_EQ(server.Answer(two_opts).header.rcode, dns::RCode::kFormErr);
+  EXPECT_EQ(Answer(server, two_opts).header.rcode, dns::RCode::kFormErr);
 
   // Non-query opcode: NOTIMP.
   auto notify = dns::MakeQuery(3, N("a.com."), RRType::kA);
   notify.header.opcode = dns::Opcode::kNotify;
-  EXPECT_EQ(server.Answer(notify).header.rcode, dns::RCode::kNotImp);
+  EXPECT_EQ(Answer(server, notify).header.rcode, dns::RCode::kNotImp);
 
   // Non-IN class: REFUSED.
   auto chaos = dns::MakeQuery(4, N("version.bind."), RRType::kTXT);
   chaos.questions.front().rrclass = dns::RRClass::kCH;
-  EXPECT_EQ(server.Answer(chaos).header.rcode, dns::RCode::kRefused);
+  EXPECT_EQ(Answer(server, chaos).header.rcode, dns::RCode::kRefused);
 
   // AXFR over UDP: REFUSED (TCP front-ends divert AXFR before the server).
   const auto axfr = dns::MakeQuery(5, Name(), RRType::kAXFR);
-  const auto axfr_answer = server.Answer(axfr);
+  const auto axfr_answer = Answer(server, axfr, Channel::kUdp);
   EXPECT_EQ(axfr_answer.header.rcode, dns::RCode::kRefused);
   EXPECT_EQ(server.AnswerWire(axfr, Channel::kUdp),
             dns::EncodeMessage(axfr_answer));
@@ -266,7 +276,7 @@ TEST(AuthServerPreflight, ScreensProtocolViolations) {
 
 TEST(AuthServerCache, HitsAreByteIdenticalModuloId) {
   Fixture f;
-  AuthServer server(f.net, f.root_zone);
+  AuthServer server(&f.net, f.snapshot, {});
   const auto first =
       server.AnswerWire(dns::MakeQuery(0x1111, N("www.x.com."), RRType::kA));
   const auto second =
@@ -312,7 +322,7 @@ TEST(AuthServerCache, RootNameQueriesHitTheCache) {
   // The root qname is empty on the wire-key path; its cache probe must not
   // hand memcmp a null pointer (the sanitizer builds catch it if it does).
   Fixture f;
-  AuthServer server(f.net, f.root_zone);
+  AuthServer server(&f.net, f.snapshot, {});
   for (const RRType type : {RRType::kSOA, RRType::kNS}) {
     const auto first = server.AnswerWire(dns::MakeQuery(0x1111, Name(), type));
     const auto second =
@@ -326,16 +336,16 @@ TEST(AuthServerCache, RootNameQueriesHitTheCache) {
 
 TEST(AuthServerCache, SetZoneInvalidates) {
   Fixture f;
-  AuthServer server(f.net, f.root_zone);
+  AuthServer server(&f.net, f.snapshot, {});
   EXPECT_EQ(server.AnswerWire(dns::MakeQuery(1, N("a.dev."), RRType::kA))[3] &
                 0x0F,
             static_cast<int>(dns::RCode::kNXDomain));
-  auto new_zone = std::make_shared<zone::Zone>(*f.root_zone);
+  zone::Zone new_zone = f.root_zone;
   ASSERT_TRUE(new_zone
-                  ->AddRecord({N("dev."), RRType::kNS, dns::RRClass::kIN,
-                               172800, dns::NsData{N("ns.nic.dev.")}})
+                  .AddRecord({N("dev."), RRType::kNS, dns::RRClass::kIN,
+                              172800, dns::NsData{N("ns.nic.dev.")}})
                   .ok());
-  server.SetZone(new_zone);
+  server.SetZone(zone::ZoneSnapshot::Build(new_zone));
   EXPECT_EQ(server.AnswerWire(dns::MakeQuery(2, N("a.dev."), RRType::kA))[3] &
                 0x0F,
             static_cast<int>(dns::RCode::kNoError));
@@ -346,8 +356,8 @@ TEST(AuthServerCache, DisabledServerStillAnswersIdentically) {
   Fixture f;
   AuthServer::Options options;
   options.answer_cache_entries = 0;
-  AuthServer cached(f.net, f.root_zone);
-  AuthServer plain(nullptr, zone::ZoneSnapshot::Build(*f.root_zone), options);
+  AuthServer cached(&f.net, f.snapshot, {});
+  AuthServer plain(nullptr, f.snapshot, options);
   for (int i = 0; i < 3; ++i) {
     const auto query =
         dns::MakeQuery(static_cast<std::uint16_t>(i), N("go.com."), RRType::kA);
@@ -360,7 +370,7 @@ TEST(AuthServerCache, DisabledServerStillAnswersIdentically) {
 TEST(Fleet, InstanceCountMatchesDeployment) {
   Fixture f;
   topo::DeploymentModel deployment;
-  RootServerFleet fleet(f.net, f.registry, f.root_zone);
+  RootServerFleet fleet(f.net, f.registry, f.snapshot);
   EXPECT_EQ(fleet.instance_count(),
             static_cast<std::size_t>(
                 deployment.TotalInstancesOn({2018, 4, 11})));
@@ -368,7 +378,7 @@ TEST(Fleet, InstanceCountMatchesDeployment) {
 
 TEST(Fleet, AnycastPrefersNearbyInstance) {
   Fixture f;
-  RootServerFleet fleet(f.net, f.registry, f.root_zone);
+  RootServerFleet fleet(f.net, f.registry, f.snapshot);
   // Large letters (many instances) should land closer than small ones on
   // average; at minimum the chosen instance must be the nearest of its
   // letter.
@@ -387,7 +397,7 @@ TEST(Fleet, AnycastPrefersNearbyInstance) {
 
 TEST(Fleet, StatsAggregate) {
   Fixture f;
-  RootServerFleet fleet(f.net, f.registry, f.root_zone);
+  RootServerFleet fleet(f.net, f.registry, f.snapshot);
   const sim::NodeId client = f.net.AddNode(nullptr);
   f.registry.PlaceNode(client, {40, -74});
   for (int i = 0; i < 5; ++i) {
@@ -410,9 +420,10 @@ TEST(TldFarm, BuildsFromRootZoneAndAnswers) {
   net.set_latency_fn(registry.LatencyFn());
 
   const zone::RootZoneModel model;
-  const zone::Zone root_zone = model.Snapshot({2018, 4, 11});
-  TldFarm farm(net, registry, root_zone, 99);
-  EXPECT_EQ(farm.tld_count(), root_zone.DelegatedChildren().size());
+  const zone::SnapshotPtr root_zone =
+      zone::ZoneSnapshot::Build(model.Snapshot({2018, 4, 11}));
+  TldFarm farm(net, registry, *root_zone, 99);
+  EXPECT_EQ(farm.tld_count(), root_zone->DelegatedChildren().size());
 
   sim::NodeId com_node = 0;
   ASSERT_TRUE(farm.FindTldNode("com", com_node));
@@ -448,7 +459,7 @@ TEST(TldFarm, FindsNodeByGlueAddress) {
   topo::Topology registry;
   const zone::RootZoneModel model;
   const zone::Zone root_zone = model.Snapshot({2018, 4, 11});
-  TldFarm farm(net, registry, root_zone, 99);
+  TldFarm farm(net, registry, *zone::ZoneSnapshot::Build(root_zone), 99);
 
   // Take com's first glue address from the zone and look it up.
   const auto* ns = root_zone.Find(N("com."), RRType::kNS);
@@ -474,7 +485,7 @@ TEST(TldFarm, RefusesOutOfDomainQuery) {
   topo::Topology registry;
   const zone::RootZoneModel model;
   const zone::Zone root_zone = model.Snapshot({2018, 4, 11});
-  TldFarm farm(net, registry, root_zone, 99);
+  TldFarm farm(net, registry, *zone::ZoneSnapshot::Build(root_zone), 99);
 
   sim::NodeId com_node = 0;
   ASSERT_TRUE(farm.FindTldNode("com", com_node));

@@ -1,4 +1,5 @@
-// Tests for the zone container, master-file parser, root hints, diff, RZC.
+// Tests for the mutable zone (and the snapshot lookup and diff over it),
+// master-file parser, root hints, RZC.
 #include <gtest/gtest.h>
 
 #include "util/rng.h"
@@ -7,6 +8,7 @@
 #include "zone/rzc.h"
 #include "zone/zone.h"
 #include "zone/zone_diff.h"
+#include "zone/zone_snapshot.h"
 
 namespace rootless::zone {
 namespace {
@@ -49,6 +51,16 @@ Zone SampleRootZone() {
   return zone;
 }
 
+// The production lookup and diff run over the snapshot built from a zone.
+SnapshotPtr SampleRootSnapshot() {
+  return ZoneSnapshot::Build(SampleRootZone());
+}
+
+ZoneDiff Diff(const Zone& old_zone, const Zone& new_zone) {
+  return DiffSnapshots(*ZoneSnapshot::Build(old_zone),
+                       *ZoneSnapshot::Build(new_zone));
+}
+
 // ------------------------------------------------------------------ zone
 
 TEST(Zone, AddAndFind) {
@@ -56,8 +68,8 @@ TEST(Zone, AddAndFind) {
   ASSERT_NE(zone.Find(N("com."), RRType::kNS), nullptr);
   EXPECT_EQ(zone.Find(N("com."), RRType::kNS)->size(), 2u);
   EXPECT_EQ(zone.Find(N("com."), RRType::kA), nullptr);
-  EXPECT_TRUE(zone.HasName(N("com.")));
-  EXPECT_FALSE(zone.HasName(N("net.")));
+  EXPECT_TRUE(ZoneSnapshot::Build(zone)->HasName(N("com.")));
+  EXPECT_FALSE(ZoneSnapshot::Build(zone)->HasName(N("net.")));
   EXPECT_EQ(zone.Serial(), 2019060700u);
 }
 
@@ -70,36 +82,36 @@ TEST(Zone, RejectsOutOfZoneRecord) {
 }
 
 TEST(Zone, LookupReferral) {
-  const Zone zone = SampleRootZone();
-  const auto result = zone.Lookup(N("www.sigcomm.com."), RRType::kA);
+  const SnapshotPtr zone = SampleRootSnapshot();
+  const auto result = zone->Lookup(N("www.sigcomm.com."), RRType::kA);
   EXPECT_EQ(result.disposition, LookupDisposition::kReferral);
   ASSERT_EQ(result.authority.size(), 1u);
   EXPECT_EQ(result.authority[0].type, RRType::kNS);
-  EXPECT_TRUE(result.authority[0].name == N("com."));
+  EXPECT_TRUE(*result.authority[0].name == N("com."));
   // Glue for the in-zone nameserver only.
   ASSERT_EQ(result.additional.size(), 1u);
-  EXPECT_TRUE(result.additional[0].name == N("ns.nic.com."));
+  EXPECT_TRUE(*result.additional[0].name == N("ns.nic.com."));
 }
 
 TEST(Zone, LookupReferralAtDelegationName) {
-  const Zone zone = SampleRootZone();
+  const SnapshotPtr zone = SampleRootSnapshot();
   // Query for com./NS at the root is a referral, not an answer: the root is
   // not authoritative for com.
-  const auto result = zone.Lookup(N("com."), RRType::kNS);
+  const auto result = zone->Lookup(N("com."), RRType::kNS);
   EXPECT_EQ(result.disposition, LookupDisposition::kReferral);
 }
 
 TEST(Zone, LookupDsAtDelegationIsAuthoritative) {
-  const Zone zone = SampleRootZone();
-  const auto result = zone.Lookup(N("com."), RRType::kDS);
+  const SnapshotPtr zone = SampleRootSnapshot();
+  const auto result = zone->Lookup(N("com."), RRType::kDS);
   EXPECT_EQ(result.disposition, LookupDisposition::kAnswer);
   ASSERT_EQ(result.answers.size(), 1u);
   EXPECT_EQ(result.answers[0].type, RRType::kDS);
 }
 
 TEST(Zone, LookupReferralWithDnssecIncludesDs) {
-  const Zone zone = SampleRootZone();
-  const auto result = zone.Lookup(N("shop.example.com."), RRType::kA, true);
+  const SnapshotPtr zone = SampleRootSnapshot();
+  const auto result = zone->Lookup(N("shop.example.com."), RRType::kA, true);
   EXPECT_EQ(result.disposition, LookupDisposition::kReferral);
   bool has_ds = false;
   for (const auto& s : result.authority) has_ds |= (s.type == RRType::kDS);
@@ -107,35 +119,34 @@ TEST(Zone, LookupReferralWithDnssecIncludesDs) {
 }
 
 TEST(Zone, LookupNxDomain) {
-  const Zone zone = SampleRootZone();
-  const auto result = zone.Lookup(N("bogus-tld-query."), RRType::kA);
+  const SnapshotPtr zone = SampleRootSnapshot();
+  const auto result = zone->Lookup(N("bogus-tld-query."), RRType::kA);
   EXPECT_EQ(result.disposition, LookupDisposition::kNxDomain);
   ASSERT_EQ(result.authority.size(), 1u);
   EXPECT_EQ(result.authority[0].type, RRType::kSOA);
 }
 
 TEST(Zone, LookupNoData) {
-  const Zone zone = SampleRootZone();
+  const SnapshotPtr zone = SampleRootSnapshot();
   // org. exists (NS) but has no DS.
-  const auto result = zone.Lookup(N("org."), RRType::kDS);
+  const auto result = zone->Lookup(N("org."), RRType::kDS);
   EXPECT_EQ(result.disposition, LookupDisposition::kNoData);
 }
 
 TEST(Zone, LookupApexAnswer) {
-  const Zone zone = SampleRootZone();
-  const auto result = zone.Lookup(Name(), RRType::kSOA);
+  const SnapshotPtr zone = SampleRootSnapshot();
+  const auto result = zone->Lookup(Name(), RRType::kSOA);
   EXPECT_EQ(result.disposition, LookupDisposition::kAnswer);
 }
 
 TEST(Zone, LookupOutOfZone) {
-  Zone zone(N("com."));
-  const auto result = zone.Lookup(N("example.org."), RRType::kA);
+  const SnapshotPtr zone = ZoneSnapshot::Build(Zone(N("com.")));
+  const auto result = zone->Lookup(N("example.org."), RRType::kA);
   EXPECT_EQ(result.disposition, LookupDisposition::kOutOfZone);
 }
 
 TEST(Zone, DelegatedChildren) {
-  const Zone zone = SampleRootZone();
-  const auto children = zone.DelegatedChildren();
+  const auto children = SampleRootSnapshot()->DelegatedChildren();
   ASSERT_EQ(children.size(), 2u);
   EXPECT_TRUE(children[0] == N("com."));
   EXPECT_TRUE(children[1] == N("org."));
@@ -311,7 +322,7 @@ TEST(ZoneDiff, DetectsAddRemoveChange) {
                               dns::NsData{N("c.gtld-servers.net.")}})
                   .ok());
 
-  const ZoneDiff diff = DiffZones(old_zone, new_zone);
+  const ZoneDiff diff = Diff(old_zone, new_zone);
   EXPECT_EQ(diff.added.size(), 1u);
   EXPECT_EQ(diff.removed.size(), 1u);
   EXPECT_EQ(diff.changed.size(), 1u);
@@ -321,7 +332,7 @@ TEST(ZoneDiff, DetectsAddRemoveChange) {
 
 TEST(ZoneDiff, IdenticalZonesProduceEmptyDiff) {
   const Zone zone = SampleRootZone();
-  EXPECT_TRUE(DiffZones(zone, zone).empty());
+  EXPECT_TRUE(Diff(zone, zone).empty());
 }
 
 TEST(ZoneDiff, ApplyReconstructsNewZone) {
@@ -333,17 +344,16 @@ TEST(ZoneDiff, ApplyReconstructsNewZone) {
                   .ok());
   ASSERT_TRUE(new_zone.RemoveRRset({N("com."), RRType::kDS, RRClass::kIN}));
 
-  const ZoneDiff diff = DiffZones(old_zone, new_zone);
-  Zone patched = old_zone;
-  ASSERT_TRUE(ApplyDiff(patched, diff).ok());
-  EXPECT_TRUE(patched == new_zone);
+  const ZoneDiff diff = Diff(old_zone, new_zone);
+  auto patched = ZoneSnapshot::Apply(ZoneSnapshot::Build(old_zone), diff);
+  ASSERT_TRUE(patched.ok());
+  EXPECT_TRUE((*patched)->SameContent(*ZoneSnapshot::Build(new_zone)));
 }
 
 TEST(ZoneDiff, ApplyFailsOnMissingKey) {
-  Zone zone = SampleRootZone();
   ZoneDiff diff;
   diff.removed.push_back({N("nonexistent."), RRType::kNS, RRClass::kIN});
-  EXPECT_FALSE(ApplyDiff(zone, diff).ok());
+  EXPECT_FALSE(ZoneSnapshot::Apply(SampleRootSnapshot(), diff).ok());
 }
 
 TEST(ZoneDiff, SerializationRoundTrip) {
@@ -355,14 +365,15 @@ TEST(ZoneDiff, SerializationRoundTrip) {
                   .ok());
   ASSERT_TRUE(new_zone.RemoveRRset({N("org."), RRType::kNS, RRClass::kIN}));
 
-  const ZoneDiff diff = DiffZones(old_zone, new_zone);
+  const ZoneDiff diff = Diff(old_zone, new_zone);
   const auto wire = SerializeDiff(diff);
   auto decoded = DeserializeDiff(wire);
   ASSERT_TRUE(decoded.ok()) << decoded.error().message();
 
-  Zone patched = old_zone;
-  ASSERT_TRUE(ApplyDiff(patched, *decoded).ok());
-  EXPECT_TRUE(patched == new_zone);
+  auto patched =
+      ZoneSnapshot::Apply(ZoneSnapshot::Build(old_zone), *decoded);
+  ASSERT_TRUE(patched.ok());
+  EXPECT_TRUE((*patched)->SameContent(*ZoneSnapshot::Build(new_zone)));
 }
 
 TEST(ZoneDiff, DeserializeRejectsGarbage) {
