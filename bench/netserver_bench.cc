@@ -1,7 +1,8 @@
 // Socket front-end throughput: loopback UDP qps through the epoll +
 // recvmmsg/sendmmsg server (net::DnsFrontend) over the signed model root
 // zone, single worker and a multi-worker SO_REUSEPORT fleet, plus one
-// AXFR-over-TCP transfer timing. The replay qps from BENCH_hotpath.json is
+// AXFR-over-TCP transfer timing. The replay qps from BENCH_hotpath.json (by
+// default the committed one in the source tree; --hotpath overrides) is
 // read back as the no-sockets reference, so the report shows what fraction
 // of the in-process AnswerWire rate survives a real kernel round trip.
 //
@@ -295,7 +296,7 @@ std::map<std::string, double> LoadJsonNumbers(const std::string& path) {
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_netserver.json";
   std::string baseline_path;
-  std::string hotpath_path = "BENCH_hotpath.json";
+  std::string hotpath_path = ROOTLESS_SOURCE_DIR "/BENCH_hotpath.json";
   int duration_ms = 2000;
   int multi_workers = 2;
   for (int i = 1; i < argc; ++i) {
@@ -404,6 +405,12 @@ int main(int argc, char** argv) {
   if (replay_qps > 0) {
     record("replay_qps_reference", replay_qps);
     record("socket_vs_replay_ratio", single.blast.qps / replay_qps);
+  } else {
+    std::fprintf(stderr,
+                 "netserver_bench: no replay_qps in %s; "
+                 "replay_qps_reference and socket_vs_replay_ratio are "
+                 "left out (pass --hotpath FILE)\n",
+                 hotpath_path.c_str());
   }
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");

@@ -8,6 +8,8 @@
 
 #include <cerrno>
 #include <cstring>
+#include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -102,11 +104,13 @@ util::Status ReadAll(int fd, std::uint8_t* data, std::size_t size) {
   return util::Status::Ok();
 }
 
+// One write per frame: a separate 2-byte prefix write leaves the payload
+// behind Nagle until the prefix is acknowledged.
 util::Status SendFrame(int fd, const util::Bytes& payload) {
-  std::uint8_t prefix[2] = {static_cast<std::uint8_t>(payload.size() >> 8),
-                            static_cast<std::uint8_t>(payload.size() & 0xFF)};
-  ROOTLESS_RETURN_IF_ERROR(WriteAll(fd, prefix, 2));
-  return WriteAll(fd, payload.data(), payload.size());
+  util::Bytes frame{static_cast<std::uint8_t>(payload.size() >> 8),
+                    static_cast<std::uint8_t>(payload.size() & 0xFF)};
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  return WriteAll(fd, frame.data(), frame.size());
 }
 
 util::Result<util::Bytes> RecvFrame(int fd) {
@@ -116,6 +120,13 @@ util::Result<util::Bytes> RecvFrame(int fd) {
   util::Bytes payload(len);
   ROOTLESS_RETURN_IF_ERROR(ReadAll(fd, payload.data(), len));
   return payload;
+}
+
+// RFC 1982 serial arithmetic: true iff `a` is older than `b`. Serials half
+// the number space apart are left undefined by the RFC; they count as not
+// older here, so the transfer goes ahead.
+bool SerialOlder(std::uint32_t a, std::uint32_t b) {
+  return a != b && b - a < 0x80000000u;
 }
 
 }  // namespace
@@ -149,35 +160,37 @@ util::Result<zone::SnapshotPtr> FetchZoneTcp(const std::string& host,
       return Error(ErrorCode::kProtocol, "axfr: SOA probe got no SOA");
     }
     if (serial == options.have_serial) return zone::SnapshotPtr{};
+    if (SerialOlder(serial, options.have_serial)) {
+      return Error(ErrorCode::kStale,
+                   "axfr: server serial " + std::to_string(serial) +
+                       " is older than held " +
+                       std::to_string(options.have_serial));
+    }
   }
 
   const dns::Message axfr =
       dns::MakeQuery(0xAFF, dns::Name(), dns::RRType::kAXFR);
   ROOTLESS_RETURN_IF_ERROR(SendFrame(sock.get(), dns::EncodeMessage(axfr)));
 
-  // Read messages until the record stream closes with the second SOA. Each
-  // frame is decoded once, here; the assembler takes the decoded messages.
-  std::vector<dns::Message> messages;
+  // Read frames until the record stream closes with the second SOA. Each
+  // frame is decoded once, here, and its records moved onto one vector.
+  std::vector<dns::ResourceRecord> records;
   std::size_t soa_seen = 0;
+  std::size_t transferred = 0;
   while (soa_seen < 2) {
     auto frame = RecvFrame(sock.get());
     if (!frame.ok()) return frame.error();
-    auto msg = dns::DecodeMessage(*frame);
-    if (!msg.ok()) return msg.error();
-    if (msg->header.rcode != dns::RCode::kNoError) {
+    transferred += 2 + frame->size();
+    if (transferred > kMaxAxfrBytes) {
       return Error(ErrorCode::kProtocol,
-                   "axfr: server answered " +
-                       dns::RCodeToString(msg->header.rcode));
+                   "axfr: transfer exceeds " +
+                       std::to_string(kMaxAxfrBytes >> 20) + " MiB");
     }
-    for (const auto& rr : msg->answers) {
-      if (rr.type == dns::RRType::kSOA) ++soa_seen;
-    }
-    messages.push_back(std::move(*msg));
-    if (messages.size() > 1u << 20) {
-      return Error(ErrorCode::kProtocol, "axfr: unbounded stream");
-    }
+    auto soas = distrib::AppendAxfrFrame(*frame, records);
+    if (!soas.ok()) return soas.error();
+    soa_seen += *soas;
   }
-  return distrib::AssembleAxfrStream(std::move(messages));
+  return distrib::AssembleAxfrStream(std::move(records));
 }
 
 }  // namespace rootless::net

@@ -4,15 +4,20 @@
 //
 // FetchZoneTcp first asks the server for its SOA; if the serial matches
 // `have_serial` the fetch returns a null SnapshotPtr (the caller keeps its
-// copy — the cheap steady-state poll). Otherwise it issues an AXFR query and
-// assembles the streamed messages into a fresh snapshot
-// (distrib::AssembleAxfrStream validates the SOA bracket).
+// copy — the cheap steady-state poll), and if it is older (RFC 1982 serial
+// arithmetic) the fetch fails kStale without transferring. Otherwise it
+// issues an AXFR query, decodes each frame once, moves its records onto
+// one vector and hands that to distrib::AssembleAxfrStream, which checks
+// the SOA bracket and builds the snapshot with ZoneSnapshot::Builder — no
+// zone::Zone on the way. A transfer is capped at kMaxAxfrBytes on the wire.
 //
 // Blocking by design: refresh runs on its own cadence (minutes), not on the
 // serving loop. Error codes follow the shared vocabulary: kUnreachable
-// (connect), kTimeout (deadline), kCorrupted/kProtocol (stream).
+// (connect), kTimeout (deadline), kStale (server behind us),
+// kCorrupted/kTruncated/kProtocol (stream, including the size cap).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -20,6 +25,10 @@
 #include "zone/zone_snapshot.h"
 
 namespace rootless::net {
+
+// Most wire bytes (length prefixes included) one transfer may move: about
+// 27x the signed model root zone (2.36 MB). A longer stream fails kProtocol.
+inline constexpr std::size_t kMaxAxfrBytes = std::size_t{64} << 20;
 
 struct AxfrFetchOptions {
   std::uint32_t have_serial = 0;  // 0 = always transfer

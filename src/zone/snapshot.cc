@@ -1,5 +1,7 @@
 #include "zone/snapshot.h"
 
+#include <utility>
+
 namespace rootless::zone {
 
 using util::ByteReader;
@@ -74,14 +76,14 @@ util::Result<SnapshotPtr> DeserializeSnapshot(
   if (!r.ReadU32(serial)) return Error("snapshot: truncated serial");
   std::uint64_t count = 0;
   if (!r.ReadVarint(count)) return Error("snapshot: truncated count");
-  Zone zone(std::move(*apex));
+  ZoneSnapshot::Builder builder(std::move(*apex));
   for (std::uint64_t i = 0; i < count; ++i) {
     auto rrset = ReadRRsetWire(r);
     if (!rrset.ok()) return rrset.error();
-    ROOTLESS_RETURN_IF_ERROR(zone.AddRRset(*rrset));
+    ROOTLESS_RETURN_IF_ERROR(builder.Add(std::move(*rrset)));
   }
   if (!r.at_end()) return Error("snapshot: trailing bytes");
-  return ZoneSnapshot::Build(zone);
+  return std::move(builder).Finish();
 }
 
 }  // namespace rootless::zone

@@ -18,8 +18,8 @@ void WriteRRsetWire(const dns::RRset& rrset, util::ByteWriter& writer);
 void WriteRRsetWire(const dns::RRsetView& rrset, util::ByteWriter& writer);
 util::Result<dns::RRset> ReadRRsetWire(util::ByteReader& reader);
 
-// Whole-zone snapshot. Deserializing collects the RRsets in a mutable Zone
-// (which merges repeated keys) and builds the snapshot from it.
+// Whole-zone snapshot. Deserializing hands the RRsets to
+// ZoneSnapshot::Builder, which merges repeated keys like Zone::AddRRset.
 util::Bytes SerializeSnapshot(const ZoneSnapshot& snapshot);
 util::Result<SnapshotPtr> DeserializeSnapshot(
     std::span<const std::uint8_t> wire);

@@ -1,6 +1,8 @@
 #include "zone/zone.h"
 
 #include <algorithm>
+#include <iterator>
+#include <utility>
 
 namespace rootless::zone {
 
@@ -17,25 +19,29 @@ util::Status Zone::AddRecord(const dns::ResourceRecord& record) {
   set.rrclass = record.rrclass;
   set.ttl = record.ttl;
   set.rdatas.push_back(record.rdata);
-  return AddRRset(set);
+  return AddRRset(std::move(set));
 }
 
-util::Status Zone::AddRRset(const RRset& rrset) {
+util::Status Zone::AddRRset(RRset rrset) {
   if (!rrset.name.IsSubdomainOf(apex_))
     return Error("zone: owner " + rrset.name.ToString() + " out of zone " +
                  apex_.ToString());
-  const RRsetKey key = rrset.key();
+  RRsetKey key = rrset.key();
+  if (rrsets_.empty() || std::prev(rrsets_.end())->first < key) {
+    rrsets_.emplace_hint(rrsets_.end(), std::move(key), std::move(rrset));
+    return util::Status::Ok();
+  }
   auto it = rrsets_.find(key);
   if (it == rrsets_.end()) {
-    rrsets_.emplace(key, rrset);
+    rrsets_.emplace(std::move(key), std::move(rrset));
     return util::Status::Ok();
   }
   RRset& existing = it->second;
   existing.ttl = std::min(existing.ttl, rrset.ttl);
-  for (const auto& rd : rrset.rdatas) {
+  for (auto& rd : rrset.rdatas) {
     if (std::find(existing.rdatas.begin(), existing.rdatas.end(), rd) ==
         existing.rdatas.end()) {
-      existing.rdatas.push_back(rd);
+      existing.rdatas.push_back(std::move(rd));
     }
   }
   return util::Status::Ok();

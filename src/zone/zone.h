@@ -2,9 +2,10 @@
 //
 // A Zone collects the RRsets of one zone cut (e.g. the root zone), keyed by
 // (owner, type, class) in canonical order. It is what the zone model, the
-// signer, the master-file and AXFR readers fill; everything that serves or
-// diffs a zone reads the immutable ZoneSnapshot built from it
-// (zone_snapshot.h).
+// signer and the master-file reader fill; everything that serves or diffs a
+// zone reads the immutable ZoneSnapshot built from it (zone_snapshot.h).
+// The wire readers (AXFR streams, snapshot files) build a ZoneSnapshot
+// directly with ZoneSnapshot::Builder and never fill a Zone.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +26,11 @@ class Zone {
   // Adds a record, merging into the existing RRset (duplicates dropped, set
   // TTL = min). Fails if the owner is out of zone.
   util::Status AddRecord(const dns::ResourceRecord& record);
-  util::Status AddRRset(const dns::RRset& rrset);
+  // Same merge rules for a whole set. A set whose key sorts after every key
+  // already present is moved in at the end without a search, so an
+  // in-order fill (ZoneSnapshot::ToZone, a sorted list) costs one key
+  // comparison per set.
+  util::Status AddRRset(dns::RRset rrset);
 
   // Removes an entire RRset; returns false if absent.
   bool RemoveRRset(const dns::RRsetKey& key);

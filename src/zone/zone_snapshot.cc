@@ -1,8 +1,12 @@
 #include "zone/zone_snapshot.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <set>
+#include <span>
+#include <type_traits>
+#include <utility>
 
 namespace rootless::zone {
 
@@ -26,24 +30,34 @@ std::weak_ordering CompareKey(const Name& an, RRType at, dns::RRClass ac,
 
 }  // namespace
 
-void ZoneSnapshot::StoreRRset(const RRset& set, Page& page) {
+template <typename Set>
+void ZoneSnapshot::StoreRRset(Set&& set, Page& page) {
+  constexpr bool kMove = !std::is_lvalue_reference_v<Set>;
   StoredRRset s;
-  s.name = set.name;
+  s.name = std::forward<Set>(set).name;
   s.type = set.type;
   s.rrclass = set.rrclass;
   s.ttl = set.ttl;
   s.rdata_offset = static_cast<std::uint32_t>(page.rdatas.size());
   s.rdata_count = static_cast<std::uint32_t>(set.rdatas.size());
-  page.rdatas.insert(page.rdatas.end(), set.rdatas.begin(), set.rdatas.end());
+  if constexpr (kMove) {
+    page.rdatas.insert(page.rdatas.end(),
+                       std::make_move_iterator(set.rdatas.begin()),
+                       std::make_move_iterator(set.rdatas.end()));
+  } else {
+    page.rdatas.insert(page.rdatas.end(), set.rdatas.begin(),
+                       set.rdatas.end());
+  }
 
-  if (set.type == RRType::kRRSIG) {
+  if (s.type == RRType::kRRSIG) {
     // Pre-split the signature set by type_covered so serving never filters.
     // Buckets keep first-seen order; members keep original rdata order.
     s.sig_offset = static_cast<std::uint32_t>(page.sig_groups.size());
     std::vector<std::pair<RRType, std::vector<std::uint32_t>>> buckets;
     for (std::uint32_t i = 0; i < s.rdata_count; ++i) {
       const RRType covered =
-          std::get<dns::RrsigData>(set.rdatas[i]).type_covered;
+          std::get<dns::RrsigData>(page.rdatas[s.rdata_offset + i])
+              .type_covered;
       auto it = std::find_if(buckets.begin(), buckets.end(),
                              [&](const auto& b) { return b.first == covered; });
       if (it == buckets.end()) {
@@ -121,13 +135,9 @@ void ZoneSnapshot::FinishInit() {
   }
 }
 
-SnapshotPtr ZoneSnapshot::Build(const Zone& zone) {
+SnapshotPtr ZoneSnapshot::FromPage(Name apex, std::shared_ptr<Page> page) {
   auto snap = std::make_shared<ZoneSnapshot>();
-  snap->apex_ = zone.apex();
-  auto page = std::make_shared<Page>();
-  page->rrsets.reserve(zone.rrset_count());
-  page->rdatas.reserve(zone.record_count());
-  for (const auto& [key, set] : zone.rrset_map()) StoreRRset(set, *page);
+  snap->apex_ = std::move(apex);
   snap->index_.reserve(page->rrsets.size());
   for (std::size_t i = 0; i < page->rrsets.size(); ++i) {
     snap->index_.push_back(MakeEntry(*page, i));
@@ -135,6 +145,107 @@ SnapshotPtr ZoneSnapshot::Build(const Zone& zone) {
   snap->pages_.push_back(std::move(page));
   snap->FinishInit();
   return snap;
+}
+
+SnapshotPtr ZoneSnapshot::Build(const Zone& zone) {
+  auto page = std::make_shared<Page>();
+  page->rrsets.reserve(zone.rrset_count());
+  page->rdatas.reserve(zone.record_count());
+  for (const auto& [key, set] : zone.rrset_map()) StoreRRset(set, *page);
+  return FromPage(zone.apex(), std::move(page));
+}
+
+namespace {
+
+// Zone::AddRRset's merge into an existing set: set TTL = min, rdatas not
+// yet present appended in order (moved out of `rdatas`).
+void MergeInto(RRset& existing, std::uint32_t ttl,
+               std::span<dns::Rdata> rdatas) {
+  existing.ttl = std::min(existing.ttl, ttl);
+  for (auto& rd : rdatas) {
+    if (std::find(existing.rdatas.begin(), existing.rdatas.end(), rd) ==
+        existing.rdatas.end()) {
+      existing.rdatas.push_back(std::move(rd));
+    }
+  }
+}
+
+util::Status CheckOwner(const Name& owner, const Name& apex) {
+  if (owner.IsSubdomainOf(apex)) return util::Status::Ok();
+  return Error("zone: owner " + owner.ToString() + " out of zone " +
+               apex.ToString());
+}
+
+// True iff `sets` ends with the set of key (name, type, rrclass).
+bool EndsWithKey(const std::vector<RRset>& sets, const Name& name,
+                 RRType type, dns::RRClass rrclass) {
+  return !sets.empty() && sets.back().type == type &&
+         sets.back().rrclass == rrclass && sets.back().name == name;
+}
+
+}  // namespace
+
+util::Status ZoneSnapshot::Builder::Add(dns::ResourceRecord&& record) {
+  if (EndsWithKey(sets_, record.name, record.type, record.rrclass)) {
+    MergeInto(sets_.back(), record.ttl, std::span(&record.rdata, 1));
+    return util::Status::Ok();
+  }
+  ROOTLESS_RETURN_IF_ERROR(CheckOwner(record.name, apex_));
+  RRset& set = sets_.emplace_back();
+  set.name = std::move(record.name);
+  set.type = record.type;
+  set.rrclass = record.rrclass;
+  set.ttl = record.ttl;
+  set.rdatas.push_back(std::move(record.rdata));
+  return util::Status::Ok();
+}
+
+util::Status ZoneSnapshot::Builder::Add(RRset&& rrset) {
+  if (EndsWithKey(sets_, rrset.name, rrset.type, rrset.rrclass)) {
+    MergeInto(sets_.back(), rrset.ttl, rrset.rdatas);
+    return util::Status::Ok();
+  }
+  ROOTLESS_RETURN_IF_ERROR(CheckOwner(rrset.name, apex_));
+  sets_.push_back(std::move(rrset));
+  return util::Status::Ok();
+}
+
+SnapshotPtr ZoneSnapshot::Builder::Finish() && {
+  const auto key_less = [](const RRset& a, const RRset& b) {
+    return CompareKey(a.name, a.type, a.rrclass, b.name, b.type,
+                      b.rrclass) < 0;
+  };
+  // Keys strictly increasing: the usual case (an in-order transfer), and
+  // nothing to sort or fold. Otherwise a stable sort keeps each key's sets
+  // in arrival order, so folding them keeps first-seen rdata order.
+  const bool canonical =
+      std::adjacent_find(sets_.begin(), sets_.end(),
+                         [&](const RRset& a, const RRset& b) {
+                           return !key_less(a, b);
+                         }) == sets_.end();
+  if (!canonical) {
+    std::stable_sort(sets_.begin(), sets_.end(), key_less);
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < sets_.size(); ++i) {
+      if (kept > 0 && !key_less(sets_[kept - 1], sets_[i])) {
+        MergeInto(sets_[kept - 1], sets_[i].ttl, sets_[i].rdatas);
+      } else {
+        if (kept != i) sets_[kept] = std::move(sets_[i]);
+        ++kept;
+      }
+    }
+    sets_.erase(sets_.begin() + static_cast<std::ptrdiff_t>(kept),
+                sets_.end());
+  }
+
+  auto page = std::make_shared<Page>();
+  std::size_t records = 0;
+  for (const auto& set : sets_) records += set.rdatas.size();
+  page->rrsets.reserve(sets_.size());
+  page->rdatas.reserve(records);
+  for (auto& set : sets_) StoreRRset(std::move(set), *page);
+  sets_.clear();
+  return FromPage(std::move(apex_), std::move(page));
 }
 
 util::Result<SnapshotPtr> ZoneSnapshot::Apply(const SnapshotPtr& base,
@@ -207,7 +318,7 @@ util::Result<SnapshotPtr> ZoneSnapshot::Apply(const SnapshotPtr& base,
   // everything else is shared with the parent by page refcount.
   auto page = std::make_shared<Page>();
   page->rrsets.reserve(delta.size());
-  for (const auto& [key, set] : delta) StoreRRset(set, *page);
+  for (auto& [key, set] : delta) StoreRRset(std::move(set), *page);
   std::vector<Entry> delta_entries;
   delta_entries.reserve(page->rrsets.size());
   for (std::size_t i = 0; i < page->rrsets.size(); ++i) {
@@ -453,9 +564,8 @@ std::vector<RRset> ZoneSnapshot::AllRRsets() const {
 
 Zone ZoneSnapshot::ToZone() const {
   Zone zone(apex_);
-  for (const auto& e : index_) {
-    (void)zone.AddRRset(ViewOf(e).Materialize());
-  }
+  // Canonical order: every set takes AddRRset's append-at-the-end path.
+  for (const auto& e : index_) (void)zone.AddRRset(ViewOf(e).Materialize());
   return zone;
 }
 

@@ -1,11 +1,12 @@
 // Immutable, arena-backed zone snapshot shared zero-copy across layers: the
 // one zone form that anything serves, resolves, diffs or distributes.
 //
-// A ZoneSnapshot is built once from a mutable Zone (or derived from a parent
-// snapshot plus a ZoneDiff) and then handed around as a cheap refcounted
-// value (SnapshotPtr). All names and rdata live in contiguous per-page
-// arenas; the snapshot's sorted index stores borrowed pointers into those
-// pages, and every read API hands out dns::RRsetView spans over the same
+// A ZoneSnapshot is built once from a mutable Zone, from loose records or
+// RRsets off the wire (Builder: an AXFR stream, a snapshot file), or
+// derived from a parent snapshot plus a ZoneDiff, and then handed around as
+// a cheap refcounted value (SnapshotPtr). All names and rdata live in
+// contiguous per-page arenas; the snapshot's sorted index stores borrowed
+// pointers into those pages, and every read API hands out dns::RRsetView spans over the same
 // memory — consumers (resolver::ZoneDb, rootsrv::AuthServer, distrib) never
 // copy an RRset on the serving path.
 //
@@ -32,6 +33,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "dns/rr.h"
@@ -79,6 +81,29 @@ class ZoneSnapshot {
   // single new page. O(zone size).
   static SnapshotPtr Build(const Zone& zone);
 
+  // Builds a snapshot straight from records or RRsets in any order, with
+  // exactly Zone::AddRRset's merge rules (set TTL = min, duplicate rdatas
+  // dropped, first-seen rdata order) and no Zone in between: the wire
+  // readers (distrib::AssembleAxfrStream, DeserializeSnapshot) use it.
+  // An Add whose key equals the previous one folds into that set, as a
+  // transfer sends each RRset's records together. Finish checks canonical
+  // order in one pass and stable-sorts only if it is broken, folds keys
+  // that repeat, and moves every rdata into the page.
+  class Builder {
+   public:
+    explicit Builder(dns::Name apex) : apex_(std::move(apex)) {}
+
+    // Both fail, adding nothing, if the owner is not under the apex.
+    util::Status Add(dns::ResourceRecord&& record);
+    util::Status Add(dns::RRset&& rrset);
+
+    SnapshotPtr Finish() &&;
+
+   private:
+    dns::Name apex_;
+    std::vector<dns::RRset> sets_;  // arrival order, adjacent keys folded
+  };
+
   // Derives a new snapshot from `base` by applying `diff`. Parent pages are
   // shared by refcount; only added/changed RRsets are deep-copied into one
   // new delta page. Applied in removed → changed → added order: removed
@@ -118,7 +143,8 @@ class ZoneSnapshot {
   // serialization compat). Validation reads ForEachRRset's views instead.
   std::vector<dns::RRset> AllRRsets() const;
 
-  // Deep copy back into the mutable Zone form (cold path).
+  // Deep copy back into the mutable Zone form (cold path): one ordered
+  // pass, each set moved in at the map's end.
   Zone ToZone() const;
 
   // Content equality (same apex and identical RRsets in canonical order),
@@ -206,11 +232,16 @@ class ZoneSnapshot {
   void AppendRrsig(const Entry* run, dns::RRType covered,
                    std::vector<dns::RRsetView>& out) const;
 
-  // Copies `set` into `page` (sig groups included). Returns nothing; the
-  // entry pointers are fixed up later, after the page's vectors are final.
-  static void StoreRRset(const dns::RRset& set, Page& page);
+  // Appends `set` to `page` (sig groups included): a const RRset& is
+  // copied, an RRset&& has its owner and rdatas moved. Returns nothing;
+  // the entry pointers are fixed up later, after the page's vectors are
+  // final.
+  template <typename Set>
+  static void StoreRRset(Set&& set, Page& page);
   // Builds the Entry for page->rrsets[i] once the page is finalized.
   static Entry MakeEntry(const Page& page, std::size_t i);
+  // Wraps a finished single page (RRsets in canonical order) as a snapshot.
+  static SnapshotPtr FromPage(dns::Name apex, std::shared_ptr<Page> page);
 
   // Runs after index_ is final (Build and Apply): builds the owner index and
   // caches the apex SOA, the last NSEC, serial and record count.

@@ -41,14 +41,74 @@ std::string Sha256Hex(const util::Bytes& bytes) {
 
 // ---------------------------------------------------------------- snapshot
 
+// A snapshot file holding `rrsets` as given: any order, repeated keys.
+util::Bytes HandWrittenSnapshot(const zone::Zone& zone,
+                                const std::vector<dns::RRset>& rrsets) {
+  util::ByteWriter w;
+  w.WriteU32(0x525A4F4E);  // "RZON"
+  zone.apex().EncodeWire(w);
+  w.WriteU32(zone.Serial());
+  w.WriteVarint(rrsets.size());
+  for (const auto& set : rrsets) zone::WriteRRsetWire(set, w);
+  return w.TakeData();
+}
+
 TEST(Snapshot, ZoneRoundTrip) {
   const zone::RootZoneModel model;
-  const zone::Zone original = model.Snapshot({2019, 4, 1});
-  const zone::SnapshotPtr snapshot = zone::ZoneSnapshot::Build(original);
-  auto decoded = zone::DeserializeSnapshot(zone::SerializeSnapshot(*snapshot));
-  ASSERT_TRUE(decoded.ok()) << decoded.error().message();
-  EXPECT_TRUE((*decoded)->SameContent(*snapshot));
-  EXPECT_TRUE((*decoded)->ToZone() == original);
+  util::Rng rng(5);
+  const crypto::SigningKey zsk = crypto::GenerateKey(crypto::kZskFlags, rng);
+  const zone::Zone plain = model.Snapshot({2019, 4, 1});
+  for (const zone::Zone& original :
+       {plain, zone::SignZone(plain, zsk, {0, 2'000'000'000})}) {
+    const zone::SnapshotPtr snapshot = zone::ZoneSnapshot::Build(original);
+    const util::Bytes wire = zone::SerializeSnapshot(*snapshot);
+    auto decoded = zone::DeserializeSnapshot(wire);
+    ASSERT_TRUE(decoded.ok()) << decoded.error().message();
+    EXPECT_TRUE((*decoded)->SameContent(*snapshot));
+    EXPECT_TRUE((*decoded)->ToZone() == original);
+
+    // Reversed order, every set split in two with its first rdata repeated
+    // and a lower TTL on the second part: the reader must merge exactly as
+    // Zone::AddRRset does, and re-serialize to the canonical bytes.
+    std::vector<dns::RRset> scrambled;
+    const std::vector<dns::RRset> sets = original.AllRRsets();
+    for (auto it = sets.rbegin(); it != sets.rend(); ++it) {
+      dns::RRset head = *it;
+      dns::RRset tail = *it;
+      const std::size_t cut = (it->rdatas.size() + 1) / 2;
+      head.rdatas.resize(cut);
+      tail.rdatas.erase(tail.rdatas.begin(),
+                        tail.rdatas.begin() + static_cast<std::ptrdiff_t>(cut));
+      tail.rdatas.push_back(it->rdatas.front());
+      tail.ttl = it->ttl - 1;
+      scrambled.push_back(std::move(tail));
+      scrambled.push_back(std::move(head));
+    }
+    zone::Zone reference(original.apex());
+    for (const auto& set : scrambled) ASSERT_TRUE(reference.AddRRset(set).ok());
+    auto merged =
+        zone::DeserializeSnapshot(HandWrittenSnapshot(original, scrambled));
+    ASSERT_TRUE(merged.ok()) << merged.error().message();
+    EXPECT_TRUE((*merged)->ToZone() == reference);
+    EXPECT_TRUE(
+        (*merged)->SameContent(*zone::ZoneSnapshot::Build(reference)));
+  }
+
+  // An out-of-zone owner is refused, in any position.
+  zone::Zone com(*dns::Name::Parse("com."));
+  const dns::RRset inside{*dns::Name::Parse("a.com."), dns::RRType::kA,
+                          dns::RRClass::kIN, 60,
+                          {dns::AData{*dns::Ipv4::Parse("192.0.2.1")}}};
+  dns::RRset outside = inside;
+  outside.name = *dns::Name::Parse("a.org.");
+  EXPECT_TRUE(
+      zone::DeserializeSnapshot(HandWrittenSnapshot(com, {inside})).ok());
+  EXPECT_FALSE(
+      zone::DeserializeSnapshot(HandWrittenSnapshot(com, {inside, outside}))
+          .ok());
+  EXPECT_FALSE(
+      zone::DeserializeSnapshot(HandWrittenSnapshot(com, {outside, inside}))
+          .ok());
 }
 
 TEST(Snapshot, RejectsCorruption) {

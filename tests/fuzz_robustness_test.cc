@@ -3,6 +3,10 @@
 // out of bounds — malformed network input is data, not a programming error.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "crypto/dnssec.h"
+#include "distrib/axfr_stream.h"
 #include "distrib/diff_channel.h"
 #include "rootsrv/auth_server.h"
 #include "sim/network.h"
@@ -13,6 +17,7 @@
 #include "zone/evolution.h"
 #include "zone/master_file.h"
 #include "zone/rzc.h"
+#include "zone/sign.h"
 #include "zone/snapshot.h"
 #include "zone/zone_snapshot.h"
 #include "zone/zone_diff.h"
@@ -109,11 +114,78 @@ TEST(Fuzz, SnapshotAndDiffDecodersNeverCrash) {
   const auto snapshot = zone::SerializeSnapshot(*day1);
   const auto diff = zone::SerializeDiff(zone::DiffSnapshots(
       *day1, *zone::ZoneSnapshot::Build(model.Snapshot({2019, 4, 5}))));
+  // The same snapshot with its RRsets reversed, so mutations also reach the
+  // builder's sort-and-fold path. A decode that succeeds must re-encode to
+  // a file that decodes to the same content.
+  std::vector<dns::RRset> reversed = day1->AllRRsets();
+  std::reverse(reversed.begin(), reversed.end());
+  util::ByteWriter w;
+  w.WriteU32(0x525A4F4E);  // "RZON"
+  day1->apex().EncodeWire(w);
+  w.WriteU32(day1->Serial());
+  w.WriteVarint(reversed.size());
+  for (const auto& set : reversed) zone::WriteRRsetWire(set, w);
+  const util::Bytes unordered = w.TakeData();
+  ASSERT_TRUE(zone::DeserializeSnapshot(unordered).ok());
   for (int i = 0; i < 1500; ++i) {
     (void)zone::DeserializeSnapshot(Mutate(snapshot, rng));
     (void)zone::DeserializeDiff(Mutate(diff, rng));
     (void)zone::DeserializeSnapshot(RandomBytes(rng, 100));
     (void)zone::DeserializeDiff(RandomBytes(rng, 100));
+    auto decoded = zone::DeserializeSnapshot(Mutate(unordered, rng));
+    if (decoded.ok()) {
+      auto again =
+          zone::DeserializeSnapshot(zone::SerializeSnapshot(**decoded));
+      ASSERT_TRUE(again.ok());
+      EXPECT_TRUE((*again)->SameContent(**decoded));
+    }
+  }
+}
+
+// Mutated AXFR frames through the receiver's decode and assemble steps: any
+// outcome but a crash is fine, and a stream that assembles must serve.
+TEST(Fuzz, AxfrStreamAssemblerNeverCrashes) {
+  util::Rng rng(127);
+  zone::EvolutionConfig config;
+  config.legacy_tld_count = 20;
+  config.peak_tld_count = 25;
+  const zone::RootZoneModel model(config);
+  util::Rng keyrng(7);
+  const crypto::SigningKey zsk = crypto::GenerateKey(crypto::kZskFlags, keyrng);
+  const zone::SnapshotPtr snapshot = zone::ZoneSnapshot::Build(
+      zone::SignZone(model.Snapshot({2019, 4, 1}), zsk, {0, 2'000'000'000}));
+  const std::vector<util::Bytes> frames = distrib::BuildAxfrStream(
+      *snapshot, dns::MakeQuery(1, dns::Name(), dns::RRType::kAXFR), 40);
+  ASSERT_GT(frames.size(), 4u);
+  for (int i = 0; i < 250; ++i) {
+    std::vector<util::Bytes> stream = frames;
+    const int edits = 1 + static_cast<int>(rng.Below(3));
+    for (int e = 0; e < edits; ++e) {
+      const std::size_t at = rng.Below(stream.size());
+      switch (rng.Below(4)) {
+        case 0: stream[at] = Mutate(stream[at], rng); break;
+        case 1: stream.erase(stream.begin() + static_cast<long>(at)); break;
+        case 2: std::swap(stream[at], stream[rng.Below(stream.size())]); break;
+        default: {
+          util::Bytes copy = stream[rng.Below(stream.size())];
+          stream.insert(stream.begin() + static_cast<long>(at),
+                        std::move(copy));
+        }
+      }
+      if (stream.empty()) break;
+    }
+    std::vector<dns::ResourceRecord> records;
+    for (const auto& frame : stream) {
+      (void)distrib::AppendAxfrFrame(frame, records);
+    }
+    auto assembled = distrib::AssembleAxfrStream(std::move(records));
+    if (assembled.ok()) {
+      zone::LookupView view;
+      (*assembled)->Lookup(*dns::Name::Parse("www.example.com."),
+                           dns::RRType::kA, true, view);
+      (*assembled)->Lookup(dns::Name(), dns::RRType::kDNSKEY, true, view);
+      (void)zone::DiffSnapshots(*snapshot, **assembled);
+    }
   }
 }
 

@@ -385,6 +385,120 @@ TEST(NetParity, AxfrTransfersTheExactZone) {
   frontend.Stop();
 }
 
+// A held copy newer than the server's (RFC 1982 serial arithmetic, across
+// the 2^32 wrap too) fails kStale before any transfer; an older one
+// transfers.
+TEST(NetParity, AxfrRefusesAnOlderServerSerial) {
+  const zone::SnapshotPtr snapshot = TestSnapshot({2019, 6, 7});
+  SnapshotSource source(snapshot);
+  DnsFrontend frontend(source, {});
+  ASSERT_TRUE(frontend.Start().ok());
+  const std::uint32_t serial = snapshot->Serial();
+  AxfrFetchOptions options;
+  for (const std::uint32_t gap : {1u, 0x7FFFFFFFu}) {
+    SCOPED_TRACE(gap);
+    options.have_serial = serial + gap;
+    auto stale = FetchZoneTcp("127.0.0.1", frontend.tcp_port(), options);
+    ASSERT_FALSE(stale.ok());
+    EXPECT_EQ(stale.error().code(), ErrorCode::kStale);
+
+    options.have_serial = serial - gap;
+    auto newer = FetchZoneTcp("127.0.0.1", frontend.tcp_port(), options);
+    ASSERT_TRUE(newer.ok()) << newer.error().message();
+    ASSERT_TRUE(*newer);
+    EXPECT_TRUE((*newer)->SameContent(*snapshot));
+  }
+  frontend.Stop();
+}
+
+// A scripted server opens a transfer with the SOA and then streams records
+// without ever closing it: the fetch gives up at kMaxAxfrBytes.
+//
+// The server reads the whole query frame and half-closes before it closes:
+// a close() with unread input sends a RST, which drops whatever is still
+// queued for the client, so the client could see a reset short of the cap.
+TEST(NetParity, AxfrStopsAtTheTransferByteCap) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  socklen_t addr_len = sizeof(addr);
+  ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &addr_len);
+
+  std::size_t sent = 0;
+  std::thread server([&] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    timeval tv{10, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    const auto recv_exact = [fd](std::uint8_t* data, std::size_t size) {
+      for (std::size_t off = 0; off < size;) {
+        const ssize_t n = ::recv(fd, data + off, size - off, 0);
+        if (n <= 0) return false;
+        off += static_cast<std::size_t>(n);
+      }
+      return true;
+    };
+    std::uint8_t prefix[2];
+    std::uint8_t query[0xFFFF];
+    const bool got_query =
+        recv_exact(prefix, 2) &&
+        recv_exact(query, std::size_t{prefix[0]} << 8 | prefix[1]);
+    const auto send_frame = [fd](const util::Bytes& payload) {
+      util::Bytes frame{static_cast<std::uint8_t>(payload.size() >> 8),
+                        static_cast<std::uint8_t>(payload.size())};
+      frame.insert(frame.end(), payload.begin(), payload.end());
+      for (std::size_t off = 0; off < frame.size();) {
+        const ssize_t n = ::send(fd, frame.data() + off, frame.size() - off,
+                                 MSG_NOSIGNAL);
+        if (n <= 0) return false;
+        off += static_cast<std::size_t>(n);
+      }
+      return true;
+    };
+    dns::Message open;
+    open.header.qr = true;
+    open.answers.push_back({Name(), RRType::kSOA, dns::RRClass::kIN, 86400,
+                            dns::SoaData{N("a.root-servers.net."),
+                                         N("nstld.example."), 1, 1, 1, 1, 1}});
+    dns::Message filler;
+    filler.header.qr = true;
+    filler.answers.push_back({N("filler."), static_cast<RRType>(65280),
+                              dns::RRClass::kIN, 0,
+                              dns::RawData{util::Bytes(65000, 0xAB)}});
+    const util::Bytes filler_wire = dns::EncodeMessage(filler);
+    if (got_query && send_frame(dns::EncodeMessage(open))) {
+      // Bounded, so a client that never stops cannot hang the test.
+      while (sent < kMaxAxfrBytes + (std::size_t{2} << 20) &&
+             send_frame(filler_wire)) {
+        sent += 2 + filler_wire.size();
+      }
+    }
+    // FIN after the queued frames, then wait for the client to hang up.
+    ::shutdown(fd, SHUT_WR);
+    while (::recv(fd, query, sizeof(query), 0) > 0) {
+    }
+    ::close(fd);
+  });
+
+  AxfrFetchOptions options;
+  options.timeout_ms = 10000;
+  auto fetched = FetchZoneTcp("127.0.0.1", ntohs(addr.sin_port), options);
+  server.join();
+  ::close(listener);
+  ASSERT_FALSE(fetched.ok());
+  EXPECT_EQ(fetched.error().code(), ErrorCode::kProtocol);
+  EXPECT_NE(fetched.error().message().find("exceeds"), std::string::npos)
+      << fetched.error().message();
+  EXPECT_GE(sent + (std::size_t{1} << 20), kMaxAxfrBytes);
+}
+
 TEST(NetParity, SnapshotSwapBecomesVisible) {
   const zone::SnapshotPtr day1 = TestSnapshot({2019, 6, 7});
   const zone::SnapshotPtr day2 = TestSnapshot({2019, 6, 8});

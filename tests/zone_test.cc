@@ -158,6 +158,43 @@ TEST(Zone, RecordAndRRsetCounts) {
   EXPECT_EQ(zone.record_count(), 7u);  // com. NS set has 2 records
 }
 
+// AddRRset appends a set that sorts after every key without a search; the
+// result must not depend on the fill order, and merging still applies.
+TEST(Zone, AddRRsetInAnyOrderGivesTheSameZone) {
+  const Zone sample = SampleRootZone();
+  std::vector<dns::RRset> sets = sample.AllRRsets();
+  Zone in_order;
+  for (const auto& set : sets) EXPECT_TRUE(in_order.AddRRset(set).ok());
+  Zone reversed;
+  for (auto it = sets.rbegin(); it != sets.rend(); ++it) {
+    EXPECT_TRUE(reversed.AddRRset(*it).ok());
+  }
+  EXPECT_TRUE(in_order == sample);
+  EXPECT_TRUE(reversed == sample);
+
+  // A repeat of the last key merges (TTL = min, duplicate dropped, new rdata
+  // appended) instead of taking the append path.
+  dns::RRset last = sets.back();
+  last.ttl = 60;
+  last.rdatas.push_back(dns::NsData{N("b0.org.afilias-nst.org.")});
+  EXPECT_TRUE(in_order.AddRRset(last).ok());
+  const dns::RRset* merged = in_order.Find(last.name, last.type);
+  ASSERT_NE(merged, nullptr);
+  EXPECT_EQ(merged->ttl, 60u);
+  EXPECT_EQ(merged->rdatas.size(), 2u);
+  EXPECT_EQ(merged->rdatas.front(), sets.back().rdatas.front());
+
+  // Past the last key but out of zone: still refused.
+  Zone com(N("com."));
+  EXPECT_TRUE(com.AddRRset({N("a.com."), RRType::kA, RRClass::kIN, 60,
+                            {dns::AData{*dns::Ipv4::Parse("192.0.2.1")}}})
+                  .ok());
+  EXPECT_FALSE(com.AddRRset({N("zzz."), RRType::kA, RRClass::kIN, 60,
+                             {dns::AData{*dns::Ipv4::Parse("192.0.2.2")}}})
+                   .ok());
+  EXPECT_EQ(com.rrset_count(), 1u);
+}
+
 TEST(Zone, RemoveRRset) {
   Zone zone = SampleRootZone();
   EXPECT_TRUE(zone.RemoveRRset({N("com."), RRType::kDS, RRClass::kIN}));
