@@ -243,25 +243,24 @@ BlastResult Blast(std::uint16_t port, const std::vector<util::Bytes>& queries,
 
 struct UdpRun {
   BlastResult blast;
-  rootsrv::FastLaneStats fast_lane;
+  rootsrv::FastLaneStats lane;
 };
 
 // One throughput measurement against a fresh frontend with `workers` UDP
 // workers.
 UdpRun MeasureUdp(const zone::SnapshotPtr& snapshot,
                   const std::vector<util::Bytes>& queries, int workers,
-                  int duration_ms, bool fast_lane) {
+                  int duration_ms) {
   net::SnapshotSource source(snapshot);
   net::FrontendOptions options;
   options.udp_workers = workers;
   options.enable_tcp = false;
-  options.fast_lane = fast_lane;
   net::DnsFrontend frontend(source, options);
   if (!frontend.Start().ok()) return {};
   UdpRun run;
   run.blast = Blast(frontend.udp_port(), queries, duration_ms);
   frontend.Stop();
-  run.fast_lane = frontend.fast_lane_stats();
+  run.lane = frontend.fast_lane_stats();
   return run;
 }
 
@@ -351,7 +350,7 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   };
 
-  const UdpRun single = MeasureUdp(snapshot, queries, 1, duration_ms, true);
+  const UdpRun single = MeasureUdp(snapshot, queries, 1, duration_ms);
   record("udp_qps_1worker", single.blast.qps);
   record("udp_sent_1worker", static_cast<double>(single.blast.sent));
   record("udp_received_1worker", static_cast<double>(single.blast.received));
@@ -359,7 +358,7 @@ int main(int argc, char** argv) {
   record("udp_latency_p50_us", static_cast<double>(single.blast.p50_us));
   record("udp_latency_p99_us", static_cast<double>(single.blast.p99_us));
   {
-    const rootsrv::FastLaneStats& fl = single.fast_lane;
+    const rootsrv::FastLaneStats& fl = single.lane;
     const double handled =
         static_cast<double>(fl.hits + fl.slips + fl.drops);
     const double attempts =
@@ -371,13 +370,8 @@ int main(int argc, char** argv) {
     std::printf("%s", obs::RenderMetricsTable().c_str());
   }
 
-  // Ablation: the same storm with the fast lane off — every datagram pays
-  // the Packet copy + full pipeline.
-  const UdpRun ablation = MeasureUdp(snapshot, queries, 1, duration_ms, false);
-  record("udp_qps_1worker_nofastlane", ablation.blast.qps);
-
   const UdpRun multi =
-      MeasureUdp(snapshot, queries, multi_workers, duration_ms, true);
+      MeasureUdp(snapshot, queries, multi_workers, duration_ms);
   record("udp_workers_multi", multi_workers);
   record("udp_qps_multiworker", multi.blast.qps);
 

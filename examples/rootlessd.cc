@@ -11,24 +11,22 @@
 //
 // Usage: rootlessd [--port N] [--workers N] [--batch N] [--no-dnssec]
 //                  [--duration SECS] [--rrl RATE] [--quota BURST]
-//                  [--fast-lane=on|off] [--selfcheck]
+//                  [--selfcheck]
 //   --port 0 (default) picks an ephemeral port and prints it.
 //   --batch N sets the recvmmsg/sendmmsg batch size (default 64).
-//   --fast-lane=off disables the zero-copy UDP answer lane (default on);
-//     misses and off both serve through the full pipeline.
 //   --duration 0 (default) serves until SIGINT/SIGTERM.
 //   --rrl RATE enables per-client response rate limiting (RATE UDP
 //     responses per second per client; one limiter shared across workers).
 //   --quota BURST sets the RRL bucket depth (default 2x the rate).
 //   --selfcheck starts the server, issues a UDP query and a full AXFR
-//     transfer against it through real sockets, verifies both, asserts the
-//     fast lane and the full pipeline serve byte-identical answers, then
-//     floods the UDP port from one source to prove the rate limiter trips
-//     (TC|REFUSED slips + silent drops), and exits — the CI smoke mode.
+//     transfer against it through real sockets, verifies both, asserts a
+//     frontend serves byte-identical answers to an in-process AuthServer
+//     reference (cache misses and fast-lane hits alike), then floods the
+//     UDP port from one source to prove the rate limiter trips (TC|REFUSED
+//     slips + silent drops), and exits — the CI smoke mode.
 
 #include <arpa/inet.h>
 #include <csignal>
-#include <cstring>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -47,6 +45,8 @@
 #include "dns/message.h"
 #include "net/axfr_client.h"
 #include "net/frontend.h"
+#include "obs/metrics.h"
+#include "rootsrv/auth_server.h"
 #include "util/rng.h"
 #include "zone/evolution.h"
 #include "zone/sign.h"
@@ -152,21 +152,23 @@ util::Bytes UdpExchange(std::uint16_t port, const util::Bytes& query) {
   return util::Bytes(buffer, buffer + got);
 }
 
-// Selfcheck stage: two fresh single-worker frontends over the same zone,
-// fast lane on vs off, must serve byte-identical answers for a spread of
-// query shapes — each asked twice, so the second round hits the fast lane's
-// cached path on the "on" side.
-bool FastLaneParityCheck(net::SnapshotSource& source, bool dnssec) {
-  net::FrontendOptions base;
-  base.enable_tcp = false;
-  base.include_dnssec = dnssec;
-  net::FrontendOptions fast_options = base;
-  fast_options.fast_lane = true;
-  net::FrontendOptions slow_options = base;
-  slow_options.fast_lane = false;
-  net::DnsFrontend fast(source, fast_options);
-  net::DnsFrontend slow(source, slow_options);
-  if (!fast.Start().ok() || !slow.Start().ok()) return false;
+// Selfcheck stage: a fresh single-worker frontend must serve exactly what a
+// detached AuthServer with the worker's options answers in process
+// (AnswerDatagram, the pipeline alone), for a spread of query shapes — each
+// asked twice, so the second round is served by the fast lane from the
+// answer cache. RRL is off here, so the client id the reference is given
+// does not matter.
+bool ReferenceParityCheck(net::SnapshotSource& source, bool dnssec) {
+  net::FrontendOptions options;
+  options.enable_tcp = false;
+  options.include_dnssec = dnssec;
+  net::DnsFrontend frontend(source, options);
+  if (!frontend.Start().ok()) return false;
+  obs::Registry registry;
+  rootsrv::AuthServer::Options reference_options =
+      net::WorkerAuthOptions(options);
+  reference_options.registry = &registry;
+  rootsrv::AuthServer reference(nullptr, source.Get(), reference_options);
 
   std::vector<util::Bytes> corpus;
   std::uint16_t id = 0x4000;
@@ -194,20 +196,19 @@ bool FastLaneParityCheck(net::SnapshotSource& source, bool dnssec) {
   bool ok = true;
   for (int round = 0; round < 2 && ok; ++round) {
     for (std::size_t i = 0; i < corpus.size(); ++i) {
-      const util::Bytes from_fast = UdpExchange(fast.udp_port(), corpus[i]);
-      const util::Bytes from_slow = UdpExchange(slow.udp_port(), corpus[i]);
-      if (from_fast.empty() || from_fast != from_slow) {
+      const util::Bytes served = UdpExchange(frontend.udp_port(), corpus[i]);
+      const util::Bytes expected = reference.AnswerDatagram(corpus[i], 0);
+      if (served.empty() || served != expected) {
         std::fprintf(stderr,
-                     "rootlessd: fast/slow parity mismatch on query %zu "
+                     "rootlessd: frontend/reference mismatch on query %zu "
                      "round %d (%zu vs %zu bytes)\n",
-                     i, round, from_fast.size(), from_slow.size());
+                     i, round, served.size(), expected.size());
         ok = false;
       }
     }
   }
-  fast.Stop();
-  slow.Stop();
-  if (ok && fast.fast_lane_stats().hits == 0) {
+  frontend.Stop();
+  if (ok && frontend.fast_lane_stats().hits == 0) {
     std::fprintf(stderr,
                  "rootlessd: parity check never hit the fast lane\n");
     ok = false;
@@ -221,7 +222,6 @@ int main(int argc, char** argv) {
   std::uint16_t port = 0;
   int workers = 1;
   int batch = 0;  // 0 = frontend default
-  bool fast_lane = true;
   bool dnssec = true;
   int duration_s = 0;
   bool selfcheck = false;
@@ -233,17 +233,6 @@ int main(int argc, char** argv) {
     if (arg == "--port") port = static_cast<std::uint16_t>(std::atoi(next()));
     else if (arg == "--workers") workers = std::atoi(next());
     else if (arg == "--batch") batch = std::atoi(next());
-    else if (arg == "--fast-lane" || arg.rfind("--fast-lane=", 0) == 0) {
-      const std::string value =
-          arg == "--fast-lane" ? next() : arg.substr(std::strlen("--fast-lane="));
-      if (value == "on") fast_lane = true;
-      else if (value == "off") fast_lane = false;
-      else {
-        std::fprintf(stderr, "bad --fast-lane value: %s (want on|off)\n",
-                     value.c_str());
-        return 2;
-      }
-    }
     else if (arg == "--no-dnssec") dnssec = false;
     else if (arg == "--duration") duration_s = std::atoi(next());
     else if (arg == "--rrl") rrl_rate = static_cast<std::uint32_t>(std::atoi(next()));
@@ -274,7 +263,6 @@ int main(int argc, char** argv) {
   options.port = port;
   options.udp_workers = workers;
   options.include_dnssec = dnssec;
-  options.fast_lane = fast_lane;
   if (batch > 0) options.batch = static_cast<std::size_t>(batch);
   if (rrl_rate > 0) {
     options.rrl = {.enabled = true, .rate = rrl_rate, .burst = rrl_burst,
@@ -289,9 +277,9 @@ int main(int argc, char** argv) {
               dnssec ? "signed" : "unsigned", root.Serial(),
               root.rrset_count());
   std::printf("rootlessd: udp 127.0.0.1:%u  tcp 127.0.0.1:%u  workers %d  "
-              "batch %zu  fast-lane %s\n",
+              "batch %zu\n",
               frontend.udp_port(), frontend.tcp_port(), workers,
-              options.batch, fast_lane ? "on" : "off");
+              options.batch);
   std::printf("rootlessd: try  dig @127.0.0.1 -p %u com NS\n",
               frontend.udp_port());
   if (rrl_rate > 0) {
@@ -313,10 +301,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "rootlessd: AXFR selfcheck content mismatch\n");
       ok = false;
     }
-    // Fast/slow parity: the zero-copy lane must be answer-indistinguishable
-    // from the full pipeline, through real sockets.
-    if (!FastLaneParityCheck(source, dnssec)) {
-      std::fprintf(stderr, "rootlessd: fast-lane parity selfcheck failed\n");
+    // Reference parity: what the sockets serve must be answer-
+    // indistinguishable from the pipeline run in process.
+    if (!ReferenceParityCheck(source, dnssec)) {
+      std::fprintf(stderr, "rootlessd: reference parity selfcheck failed\n");
       ok = false;
     }
     // Flood probe: well past rate+burst from a single client identity, so

@@ -2,11 +2,12 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -32,52 +33,89 @@ class Socket {
   Socket(const Socket&) = delete;
   Socket& operator=(const Socket&) = delete;
   int get() const { return fd_; }
+  int release() { return std::exchange(fd_, -1); }
 
  private:
   int fd_;
 };
 
+using Clock = std::chrono::steady_clock;
+
+// Whole milliseconds left before `deadline`, rounded up; 0 once it passed.
+int MillisLeft(Clock::time_point deadline) {
+  const auto left =
+      std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now())
+          .count();
+  return left > 0 ? static_cast<int>(left) : 0;
+}
+
+Error Expired(const char* what) {
+  return Error(ErrorCode::kTimeout,
+               std::string("axfr ") + what + ": fetch deadline passed");
+}
+
+// Blocks until the non-blocking `fd` is ready for `events`; kTimeout once
+// the fetch deadline passes.
+util::Status WaitReady(int fd, short events, Clock::time_point deadline,
+                       const char* what) {
+  for (;;) {
+    const int left = MillisLeft(deadline);
+    if (left == 0) return Expired(what);
+    pollfd pfd{fd, events, 0};
+    const int n = ::poll(&pfd, 1, left);
+    if (n > 0) return util::Status::Ok();
+    if (n < 0 && errno != EINTR) {
+      return Error(ErrorCode::kUnreachable,
+                   std::string("axfr poll: ") + std::strerror(errno));
+    }
+  }
+}
+
 util::Result<int> ConnectTcp(const std::string& host, std::uint16_t port,
-                             int timeout_ms) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+                             Clock::time_point deadline) {
+  const int fd =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     return Error(ErrorCode::kUnavailable,
                  std::string("axfr socket: ") + std::strerror(errno));
   }
-  timeval tv{};
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = (timeout_ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-
+  Socket sock(fd);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
     return Error(ErrorCode::kUnavailable, "axfr: bad address " + host);
   }
+  int err = 0;
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
       0) {
-    const int err = errno;
-    ::close(fd);
-    return Error(err == EINPROGRESS || err == ETIMEDOUT
-                     ? ErrorCode::kTimeout
-                     : ErrorCode::kUnreachable,
+    err = errno;
+    if (err == EINPROGRESS) {
+      ROOTLESS_RETURN_IF_ERROR(WaitReady(fd, POLLOUT, deadline, "connect"));
+      socklen_t len = sizeof(err);
+      ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len);
+    }
+  }
+  if (err != 0) {
+    return Error(err == ETIMEDOUT ? ErrorCode::kTimeout
+                                  : ErrorCode::kUnreachable,
                  std::string("axfr connect: ") + std::strerror(err));
   }
-  return fd;
+  return sock.release();
 }
 
-util::Status WriteAll(int fd, const std::uint8_t* data, std::size_t size) {
+util::Status WriteAll(int fd, const std::uint8_t* data, std::size_t size,
+                      Clock::time_point deadline) {
   std::size_t done = 0;
   while (done < size) {
     const ssize_t n = ::write(fd, data + done, size - done);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return Error(errno == EAGAIN || errno == EWOULDBLOCK
-                       ? ErrorCode::kTimeout
-                       : ErrorCode::kUnreachable,
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        ROOTLESS_RETURN_IF_ERROR(WaitReady(fd, POLLOUT, deadline, "write"));
+        continue;
+      }
+      return Error(ErrorCode::kUnreachable,
                    std::string("axfr write: ") + std::strerror(errno));
     }
     done += static_cast<std::size_t>(n);
@@ -85,7 +123,8 @@ util::Status WriteAll(int fd, const std::uint8_t* data, std::size_t size) {
   return util::Status::Ok();
 }
 
-util::Status ReadAll(int fd, std::uint8_t* data, std::size_t size) {
+util::Status ReadAll(int fd, std::uint8_t* data, std::size_t size,
+                     Clock::time_point deadline) {
   std::size_t done = 0;
   while (done < size) {
     const ssize_t n = ::read(fd, data + done, size - done);
@@ -94,9 +133,11 @@ util::Status ReadAll(int fd, std::uint8_t* data, std::size_t size) {
     }
     if (n < 0) {
       if (errno == EINTR) continue;
-      return Error(errno == EAGAIN || errno == EWOULDBLOCK
-                       ? ErrorCode::kTimeout
-                       : ErrorCode::kUnreachable,
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        ROOTLESS_RETURN_IF_ERROR(WaitReady(fd, POLLIN, deadline, "read"));
+        continue;
+      }
+      return Error(ErrorCode::kUnreachable,
                    std::string("axfr read: ") + std::strerror(errno));
     }
     done += static_cast<std::size_t>(n);
@@ -106,19 +147,23 @@ util::Status ReadAll(int fd, std::uint8_t* data, std::size_t size) {
 
 // One write per frame: a separate 2-byte prefix write leaves the payload
 // behind Nagle until the prefix is acknowledged.
-util::Status SendFrame(int fd, const util::Bytes& payload) {
+util::Status SendFrame(int fd, const util::Bytes& payload,
+                       Clock::time_point deadline) {
   util::Bytes frame{static_cast<std::uint8_t>(payload.size() >> 8),
                     static_cast<std::uint8_t>(payload.size() & 0xFF)};
   frame.insert(frame.end(), payload.begin(), payload.end());
-  return WriteAll(fd, frame.data(), frame.size());
+  return WriteAll(fd, frame.data(), frame.size(), deadline);
 }
 
-util::Result<util::Bytes> RecvFrame(int fd) {
+// A stream that never stalls still ends at the deadline: it is checked per
+// frame, not only while waiting for bytes.
+util::Result<util::Bytes> RecvFrame(int fd, Clock::time_point deadline) {
+  if (MillisLeft(deadline) == 0) return Expired("read");
   std::uint8_t prefix[2];
-  ROOTLESS_RETURN_IF_ERROR(ReadAll(fd, prefix, 2));
+  ROOTLESS_RETURN_IF_ERROR(ReadAll(fd, prefix, 2, deadline));
   const std::size_t len = static_cast<std::size_t>(prefix[0]) << 8 | prefix[1];
   util::Bytes payload(len);
-  ROOTLESS_RETURN_IF_ERROR(ReadAll(fd, payload.data(), len));
+  ROOTLESS_RETURN_IF_ERROR(ReadAll(fd, payload.data(), len, deadline));
   return payload;
 }
 
@@ -134,7 +179,9 @@ bool SerialOlder(std::uint32_t a, std::uint32_t b) {
 util::Result<zone::SnapshotPtr> FetchZoneTcp(const std::string& host,
                                              std::uint16_t port,
                                              const AxfrFetchOptions& options) {
-  auto fd = ConnectTcp(host, port, options.timeout_ms);
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::milliseconds(options.timeout_ms);
+  auto fd = ConnectTcp(host, port, deadline);
   if (!fd.ok()) return fd.error();
   Socket sock(*fd);
 
@@ -142,8 +189,9 @@ util::Result<zone::SnapshotPtr> FetchZoneTcp(const std::string& host,
   if (options.have_serial != 0) {
     const dns::Message probe =
         dns::MakeQuery(0x50A, dns::Name(), dns::RRType::kSOA);
-    ROOTLESS_RETURN_IF_ERROR(SendFrame(sock.get(), dns::EncodeMessage(probe)));
-    auto frame = RecvFrame(sock.get());
+    ROOTLESS_RETURN_IF_ERROR(
+        SendFrame(sock.get(), dns::EncodeMessage(probe), deadline));
+    auto frame = RecvFrame(sock.get(), deadline);
     if (!frame.ok()) return frame.error();
     auto response = dns::DecodeMessage(*frame);
     if (!response.ok()) return response.error();
@@ -170,7 +218,8 @@ util::Result<zone::SnapshotPtr> FetchZoneTcp(const std::string& host,
 
   const dns::Message axfr =
       dns::MakeQuery(0xAFF, dns::Name(), dns::RRType::kAXFR);
-  ROOTLESS_RETURN_IF_ERROR(SendFrame(sock.get(), dns::EncodeMessage(axfr)));
+  ROOTLESS_RETURN_IF_ERROR(
+      SendFrame(sock.get(), dns::EncodeMessage(axfr), deadline));
 
   // Read frames until the record stream closes with the second SOA. Each
   // frame is decoded once, here, and its records moved onto one vector.
@@ -178,7 +227,7 @@ util::Result<zone::SnapshotPtr> FetchZoneTcp(const std::string& host,
   std::size_t soa_seen = 0;
   std::size_t transferred = 0;
   while (soa_seen < 2) {
-    auto frame = RecvFrame(sock.get());
+    auto frame = RecvFrame(sock.get(), deadline);
     if (!frame.ok()) return frame.error();
     transferred += 2 + frame->size();
     if (transferred > kMaxAxfrBytes) {

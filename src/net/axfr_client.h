@@ -12,8 +12,10 @@
 // zone::Zone on the way. A transfer is capped at kMaxAxfrBytes on the wire.
 //
 // Blocking by design: refresh runs on its own cadence (minutes), not on the
-// serving loop. Error codes follow the shared vocabulary: kUnreachable
-// (connect), kTimeout (deadline), kStale (server behind us),
+// serving loop. The whole fetch — connect, SOA probe and transfer — runs
+// against one deadline, so a server that trickles its stream cannot hold a
+// fetch open past it. Error codes follow the shared vocabulary:
+// kUnreachable (connect), kTimeout (deadline), kStale (server behind us),
 // kCorrupted/kTruncated/kProtocol (stream, including the size cap).
 #pragma once
 
@@ -32,7 +34,9 @@ inline constexpr std::size_t kMaxAxfrBytes = std::size_t{64} << 20;
 
 struct AxfrFetchOptions {
   std::uint32_t have_serial = 0;  // 0 = always transfer
-  int timeout_ms = 5000;          // per-socket-operation deadline
+  // Deadline of the whole fetch; each socket wait gets only the time left.
+  // A loopback fetch of the signed model root takes 65–134 ms.
+  int timeout_ms = 5000;
 };
 
 // Returns the transferred snapshot, or a null SnapshotPtr when the server's

@@ -1,11 +1,22 @@
 #include "net/frontend.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "distrib/axfr_stream.h"
 #include "dns/message.h"
 
 namespace rootless::net {
+
+rootsrv::AuthServer::Options WorkerAuthOptions(const FrontendOptions& options) {
+  rootsrv::AuthServer::Options auth_options;
+  auth_options.include_dnssec = options.include_dnssec;
+  auth_options.edns = options.edns;
+  // Real wire: answer garbage with FORMERR (the sim default stays drop).
+  auth_options.respond_formerr_to_garbage = true;
+  auth_options.rrl = options.rrl;
+  return auth_options;
+}
 
 DnsFrontend::DnsFrontend(SnapshotSource& source, FrontendOptions options)
     : source_(source), options_(std::move(options)) {}
@@ -24,11 +35,7 @@ util::Status DnsFrontend::Start() {
   const std::uint64_t generation = source_.generation();
   const int worker_count = options_.udp_workers < 1 ? 1 : options_.udp_workers;
 
-  rootsrv::AuthServer::Options auth_options;
-  auth_options.include_dnssec = options_.include_dnssec;
-  auth_options.edns = options_.edns;
-  // Real wire: answer garbage with FORMERR (the sim default stays drop).
-  auth_options.respond_formerr_to_garbage = true;
+  rootsrv::AuthServer::Options auth_options = WorkerAuthOptions(options_);
   if (options_.rrl.enabled) {
     rrl_ = std::make_unique<rootsrv::ResponseRateLimiter>(options_.rrl);
     // Shared across workers; the pipeline's rate-limit stage only charges
@@ -54,28 +61,29 @@ util::Status DnsFrontend::Start() {
     udp_options.port = i == 0 ? options_.port : udp_port_;
     udp_options.reuse_port = worker_count > 1;
     udp_options.batch = options_.batch;
+    // A transmit-ring slot must hold the largest response the EDNS policy
+    // lets a UDP answer grow to.
+    udp_options.rx_buffer =
+        std::max({udp_options.rx_buffer, options_.edns.max_udp_payload,
+                  options_.edns.default_udp_payload});
     udp_options.segmentation_offload = options_.segmentation_offload;
     udp_options.registry = worker->registry.get();
-    auto udp = UdpServer::Bind(*worker->loop, udp_options);
+    // The handler runs only once the worker thread polls, by which time the
+    // AuthServer below exists.
+    Worker* w = worker.get();
+    auto udp = UdpServer::Bind(
+        *worker->loop, udp_options,
+        [w](std::span<const std::uint8_t> datagram, std::uint64_t client,
+            std::uint8_t* out, std::size_t capacity) {
+          return w->auth->AnswerUdp(datagram, client, out, capacity);
+        });
     if (!udp.ok()) return udp.error();
     worker->udp = std::move(*udp);
     if (i == 0) udp_port_ = worker->udp->port();
 
     auth_options.registry = worker->registry.get();
-    worker->auth = std::make_unique<rootsrv::AuthServer>(
-        worker->udp.get(), snapshot, auth_options);
-    if (options_.fast_lane) {
-      // The zero-copy lane: the UdpServer offers each raw datagram to the
-      // AuthServer before paying the Packet copy; only misses take the
-      // handler registered above.
-      rootsrv::AuthServer* auth = worker->auth.get();
-      worker->udp->SetFastLane(
-          [auth](std::span<const std::uint8_t> datagram, std::uint64_t client,
-                 std::uint8_t* out, std::size_t capacity,
-                 std::size_t& out_size) {
-            return auth->TryFastLane(datagram, client, out, capacity, out_size);
-          });
-    }
+    worker->auth =
+        std::make_unique<rootsrv::AuthServer>(nullptr, snapshot, auth_options);
 
     if (i == 0 && options_.enable_tcp) {
       TcpServer::Options tcp_options;
@@ -92,7 +100,6 @@ util::Status DnsFrontend::Start() {
       // Interpose on the TCP message path: AXFR queries answer with a
       // message stream; everything else goes to the AuthServer in kTcp mode
       // (64KB limit, no TC truncation).
-      Worker* w = worker.get();
       worker->tcp->SetHandler(worker->tcp_auth->node(),
                               [this, w](const Packet& packet) {
                                 HandleTcpPacket(*w, packet);

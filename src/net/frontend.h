@@ -1,8 +1,13 @@
 // The DNS serving front-end: worker threads, each owning an EventLoop + a
-// batched UDP socket + an AuthServer over the shared zone snapshot; worker 0
-// additionally runs the TCP listener (large answers + AXFR transfer). This
-// is the process shape of the paper's "local root copy": the same AnswerWire
-// hot path the replay benches measure, behind real sockets.
+// batched UDP socket + a detached AuthServer over the shared zone snapshot;
+// worker 0 additionally runs the TCP listener (large answers + AXFR
+// transfer) with its own Transport-attached AuthServer. This is the process
+// shape of the paper's "local root copy": the same AnswerWire hot path the
+// replay benches measure, behind real sockets.
+//
+// Each UDP datagram takes one path: UdpServer hands it to
+// AuthServer::AnswerUdp (fast lane, then the full pipeline on a lane miss),
+// which writes the response straight into a transmit-ring slot.
 //
 // Snapshot-swap safety: SnapshotSource is the one cross-thread hand-off
 // point. Publish() stores the new SnapshotPtr under a mutex and bumps an
@@ -90,18 +95,16 @@ struct FrontendOptions {
   // multi-homed attacker must not get per-worker budgets). TCP is exempt by
   // design: slipped clients retry there.
   rootsrv::RrlConfig rrl;
-  // Zero-copy UDP fast lane (AuthServer::TryFastLane wired into each
-  // worker's UdpServer): answer-cache hits are served straight from the
-  // receive ring into the transmit ring, misses fall back to the full
-  // pipeline byte-identically. On by default; off = the pipeline serves
-  // everything (the parity baseline).
-  bool fast_lane = true;
   // UDP GSO/GRO on the worker sockets (see UdpServer::Options). Off forces
   // plain per-datagram syscalls AND strict FIFO response order — the fuzz
   // parity tests rely on that ordering to pair responses with probes.
   bool segmentation_offload = true;
   obs::Registry* registry = nullptr;  // merge target at Stop (default: global)
 };
+
+// The AuthServer options every worker serves with (the shared limiter and
+// the worker registry aside). Parity references build theirs from this.
+rootsrv::AuthServer::Options WorkerAuthOptions(const FrontendOptions& options);
 
 class DnsFrontend {
  public:
@@ -129,7 +132,7 @@ class DnsFrontend {
   // are safe to read while serving (atomics).
   const rootsrv::ResponseRateLimiter* rrl() const { return rrl_.get(); }
   // Aggregated fast-lane stats (sums the UDP workers; same caveat as
-  // stats()). All zero when the fast lane is disabled.
+  // stats()).
   rootsrv::FastLaneStats fast_lane_stats() const;
 
  private:

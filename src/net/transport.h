@@ -1,20 +1,20 @@
-// The transport seam: one send/receive contract with two families of
-// implementations — the simulated datagram network (sim::Network) and the
-// real socket servers (net::UdpServer, net::TcpServer).
+// The transport seam: one send/receive contract with two implementations —
+// the simulated datagram network (sim::Network) and the TCP socket server
+// (net::TcpServer).
 //
 // A Transport hosts endpoints. Local endpoints are registered with AddNode()
 // and receive every packet addressed to them; Send() emits a packet from one
 // endpoint to another. How a packet travels is the implementation's
 // business: the simulator schedules a latency-delayed delivery event, the
-// UDP server resolves the destination to a peer socket address and batches
-// it into a sendmmsg ring, the TCP server frames it onto a connection.
+// TCP server frames it onto a connection.
 //
-// Because rootsrv::AuthServer and the distrib AXFR channel are written
-// against this interface only, the exact same server object — same decode
-// path, same FORMERR policy, same truncation logic, same counters — answers
-// simulated replay traffic and hostile datagrams from a real NIC. The
-// loopback parity test (tests/netserver_test.cc) holds the two
-// implementations byte-identical.
+// The UDP socket server is deliberately NOT a Transport: it hands each raw
+// datagram to one zero-copy handler that writes the response straight into
+// a transmit-ring slot (rootsrv::AuthServer::AnswerUdp), so there is no
+// Packet copy and no reply-address bookkeeping on the datagram path. Both
+// shapes end in the same AuthServer decode path, FORMERR policy, truncation
+// logic and counters; the loopback parity test (tests/netserver_test.cc)
+// holds the socket path byte-identical to the simulator.
 //
 // This header is intentionally dependency-free (util only) so that sim can
 // include it without linking the socket module: sim sits *below* net in the
@@ -32,14 +32,14 @@ namespace rootless::net {
 // peers with kRemoteEndpointBit; the simulated network never does.
 using EndpointId = std::uint32_t;
 
-// Set on ids that name a remote socket peer (a reply address slot) rather
+// Set on ids that name a remote socket peer (a TCP connection slot) rather
 // than a locally registered endpoint.
 inline constexpr EndpointId kRemoteEndpointBit = 0x8000'0000u;
 
 // Outcome of a fast-lane attempt on one raw datagram (see
-// UdpServer::SetFastLane / rootsrv::AuthServer::TryFastLane). kMiss means
-// the attempt had no side effects and the datagram must take the normal
-// handler path; the other two are final.
+// rootsrv::AuthServer::TryFastLane). kMiss means the attempt had no side
+// effects and the datagram must take the full pipeline; the other two are
+// final.
 enum class FastVerdict {
   kMiss,       // not provably servable: fall back to the full pipeline
   kResponded,  // response written into the caller's buffer
@@ -48,17 +48,11 @@ enum class FastVerdict {
 
 // One unit of delivery: a datagram on UDP / the simulator, one
 // length-prefixed DNS message on TCP.
+// The receiver attributes a packet to its `src` for defense accounting
+// (response rate limiting); the simulator keeps `src` stable per sender.
 struct Packet {
-  // Unset `client` — the receiver falls back to `src`, which the simulator
-  // keeps stable per sender.
-  static constexpr std::uint64_t kNoClient = ~0ULL;
-
   EndpointId src = 0;
   EndpointId dst = 0;
-  // Stable identity of the sending client for defense accounting (response
-  // rate limiting). The UDP socket server sets it from the peer address,
-  // because there `src` only names a rotating reply slot.
-  std::uint64_t client = kNoClient;
   util::Bytes payload;
 };
 

@@ -53,10 +53,11 @@ bool SameDest(const sockaddr_in& a, const sockaddr_in& b) {
 
 }  // namespace
 
-util::Result<std::unique_ptr<UdpServer>> UdpServer::Bind(EventLoop& loop,
-                                                         Options options) {
+util::Result<std::unique_ptr<UdpServer>> UdpServer::Bind(
+    EventLoop& loop, Options options, DatagramHandler handler) {
   if (options.batch == 0) options.batch = 1;
-  std::unique_ptr<UdpServer> server(new UdpServer(loop, options));
+  std::unique_ptr<UdpServer> server(
+      new UdpServer(loop, options, std::move(handler)));
 
   const int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
                           0);
@@ -112,8 +113,8 @@ util::Result<std::unique_ptr<UdpServer>> UdpServer::Bind(EventLoop& loop,
   return server;
 }
 
-UdpServer::UdpServer(EventLoop& loop, Options options)
-    : loop_(loop), options_(options) {
+UdpServer::UdpServer(EventLoop& loop, Options options, DatagramHandler handler)
+    : loop_(loop), options_(options), handler_(std::move(handler)) {
   obs::Registry& reg =
       options_.registry ? *options_.registry : obs::Registry::Default();
   const obs::Labels labels{reg.NextInstance("net.udp"), "", ""};
@@ -129,9 +130,9 @@ UdpServer::UdpServer(EventLoop& loop, Options options)
 
 void UdpServer::InitRings() {
   const std::size_t batch = options_.batch;
-  // A transmit-ring slot holds one UDP response, which the answer path caps
-  // well below the plain receive buffer — size slots off the configured
-  // value BEFORE any GRO inflation below, or the slot pool balloons 16×.
+  // A transmit-ring slot holds one UDP response of up to the configured
+  // rx_buffer — size slots off that value BEFORE any GRO inflation below,
+  // or the slot pool balloons 16×.
   tx_slot_bytes_ = options_.rx_buffer;
   // A GRO ring entry carries a whole coalesced train, up to the 64KB UDP
   // payload bound — undersized buffers would silently truncate trains.
@@ -141,7 +142,6 @@ void UdpServer::InitRings() {
   // deeper flush threshold lets the size sort build longer trains (fewer
   // kernel traversals). Without it, batch-sized flushes bound latency.
   flush_threshold_ = gso_on_ ? std::max<std::size_t>(batch, 1024) : batch;
-  peers_.resize(kPeerSlots);
   rx_msgs_.resize(batch);
   rx_iovs_.resize(batch);
   rx_addrs_.resize(batch);
@@ -186,19 +186,6 @@ UdpServer::~UdpServer() {
   }
 }
 
-EndpointId UdpServer::AddNode(ReceiveHandler handler) {
-  // One serving endpoint per socket; all received datagrams address it.
-  handler_ = std::move(handler);
-  handler_set_ = true;
-  return 0;
-}
-
-void UdpServer::SetHandler(EndpointId endpoint, ReceiveHandler handler) {
-  (void)endpoint;
-  handler_ = std::move(handler);
-  handler_set_ = true;
-}
-
 void UdpServer::HandleEvents(std::uint32_t events) {
   if (events & EPOLLOUT) OnWritable();
   if (events & EPOLLIN) OnReadable();
@@ -207,34 +194,21 @@ void UdpServer::HandleEvents(std::uint32_t events) {
 void UdpServer::DeliverDatagram(const std::uint8_t* data, std::size_t size,
                                 const sockaddr_in& src) {
   c_.bytes_in.Inc(size);
-  // The rate limiter needs the actual peer identity (address + port, so
-  // NATed resolvers stay distinct).
-  const std::uint64_t client =
-      (static_cast<std::uint64_t>(src.sin_addr.s_addr) << 16) | src.sin_port;
-  if (fast_handler_) {
-    std::uint8_t* out = AcquireTxSlot();
-    if (out != nullptr) {
-      std::size_t out_size = 0;
-      const FastVerdict verdict =
-          fast_handler_(std::span<const std::uint8_t>(data, size), client, out,
-                        tx_slot_bytes_, out_size);
-      if (verdict == FastVerdict::kDropped) return;
-      if (verdict == FastVerdict::kResponded) {
-        CommitTxSlot(src, out_size);
-        return;
-      }
-      // kMiss: nothing committed, the slot stays free — fall through to the
-      // copy-into-Packet handler path below.
+  if (tx_free_slots_.empty()) {
+    FlushTx();
+    if (tx_free_slots_.empty()) {
+      c_.dropped.Inc();  // the socket is not draining: no room to answer
+      return;
     }
   }
-  const std::size_t slot = next_peer_;
-  next_peer_ = (next_peer_ + 1) & (kPeerSlots - 1);
-  peers_[slot] = src;
-  rx_packet_.src = kRemoteEndpointBit | static_cast<EndpointId>(slot);
-  rx_packet_.dst = 0;
-  rx_packet_.client = client;
-  rx_packet_.payload.assign(data, data + size);
-  if (handler_set_ && handler_) handler_(rx_packet_);
+  const std::uint32_t slot = tx_free_slots_.back();
+  const std::size_t len =
+      handler_(std::span<const std::uint8_t>(data, size), ClientId(src),
+               tx_slots_.data() + slot * tx_slot_bytes_, tx_slot_bytes_);
+  if (len == 0) return;  // silence: the slot stays free
+  tx_free_slots_.pop_back();
+  tx_queue_.push_back(TxEntry{src, slot, static_cast<std::uint32_t>(len)});
+  if (tx_queue_.size() - tx_head_ >= flush_threshold_) FlushTx();
 }
 
 void UdpServer::OnReadable() {
@@ -289,38 +263,16 @@ void UdpServer::OnReadable() {
   }
 }
 
-std::uint8_t* UdpServer::AcquireTxSlot() {
-  if (tx_free_slots_.empty()) return nullptr;
-  if (tx_queue_.size() - tx_head_ >= kMaxTxQueue) return nullptr;
-  return tx_slots_.data() + tx_free_slots_.back() * tx_slot_bytes_;
-}
-
-void UdpServer::CommitTxSlot(const sockaddr_in& addr, std::size_t size) {
-  const std::uint32_t slot = tx_free_slots_.back();
-  tx_free_slots_.pop_back();
-  tx_queue_.push_back(TxEntry{addr, {}, slot, static_cast<std::uint32_t>(size)});
-  if (tx_queue_.size() - tx_head_ >= flush_threshold_) FlushTx();
-}
-
-void UdpServer::Send(EndpointId src, EndpointId dst, util::Bytes payload) {
-  (void)src;
-  if (!(dst & kRemoteEndpointBit)) return;  // only remote peers are sendable
-  if (tx_queue_.size() - tx_head_ >= kMaxTxQueue) {
-    c_.dropped.Inc();
-    return;
-  }
-  const std::size_t slot = (dst & ~kRemoteEndpointBit) & (kPeerSlots - 1);
-  tx_queue_.push_back(TxEntry{peers_[slot], std::move(payload), kNoTxSlot, 0});
-  if (tx_queue_.size() - tx_head_ >= flush_threshold_) FlushTx();
-}
-
-void UdpServer::Flush() { FlushTx(); }
-
 void UdpServer::OnWritable() { FlushTx(); }
 
 void UdpServer::FlushTx() {
-  const auto release_slot = [this](const TxEntry& e) {
-    if (e.slot != kNoTxSlot) tx_free_slots_.push_back(e.slot);
+  // The socket is full: keep only the unsent tail (so the queue never holds
+  // more entries than the ring has slots) and wait for EPOLLOUT.
+  const auto park = [this] {
+    tx_queue_.erase(tx_queue_.begin(),
+                    tx_queue_.begin() + static_cast<std::ptrdiff_t>(tx_head_));
+    tx_head_ = 0;
+    UpdateInterest(true);
   };
   while (tx_head_ < tx_queue_.size()) {
     const std::size_t pending =
@@ -338,7 +290,7 @@ void UdpServer::FlushTx() {
                            return a.addr.sin_addr.s_addr < b.addr.sin_addr.s_addr;
                          if (a.addr.sin_port != b.addr.sin_port)
                            return a.addr.sin_port < b.addr.sin_port;
-                         return a.size() < b.size();
+                         return a.len < b.len;
                        });
     }
     // Build one msghdr per train (a train of 1 is a plain datagram).
@@ -346,21 +298,20 @@ void UdpServer::FlushTx() {
     std::size_t trains = 0;
     std::size_t i = 0;
     while (i < pending) {
-      const std::size_t seg = entries[i].size();
+      const std::size_t seg = entries[i].len;
       std::size_t run = 1;
       if (gso_on_ && seg > 0) {
         while (i + run < pending && run < kMaxGsoSegments &&
                (run + 1) * seg <= kMaxGsoBytes &&
-               entries[i + run].size() == seg &&
+               entries[i + run].len == seg &&
                SameDest(entries[i + run].addr, entries[i].addr)) {
           ++run;
         }
       }
       for (std::size_t k = 0; k < run; ++k) {
-        TxEntry& e = entries[i + k];
-        tx_iovs_[i + k].iov_base =
-            const_cast<std::uint8_t*>(e.data(tx_slots_, tx_slot_bytes_));
-        tx_iovs_[i + k].iov_len = e.size();
+        const TxEntry& e = entries[i + k];
+        tx_iovs_[i + k].iov_base = tx_slots_.data() + e.slot * tx_slot_bytes_;
+        tx_iovs_[i + k].iov_len = e.len;
       }
       msghdr& hdr = tx_msgs_[trains].msg_hdr;
       hdr.msg_iov = &tx_iovs_[i];
@@ -390,7 +341,7 @@ void UdpServer::FlushTx() {
                                 static_cast<unsigned>(trains), 0);
     if (sent < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK || errno == ENOBUFS) {
-        UpdateInterest(true);
+        park();
         return;
       }
       // Hard error (e.g. ICMP-reported unreachable peer): drop the head
@@ -398,7 +349,7 @@ void UdpServer::FlushTx() {
       const std::size_t run = train_sizes_.empty() ? 1 : train_sizes_[0];
       for (std::size_t k = 0; k < run; ++k) {
         c_.dropped.Inc();
-        release_slot(tx_queue_[tx_head_ + k]);
+        tx_free_slots_.push_back(tx_queue_[tx_head_ + k].slot);
       }
       tx_head_ += run;
       continue;
@@ -409,15 +360,15 @@ void UdpServer::FlushTx() {
       const std::size_t run = train_sizes_[static_cast<std::size_t>(t)];
       for (std::size_t k = 0; k < run; ++k) {
         const TxEntry& e = tx_queue_[tx_head_ + consumed + k];
-        c_.bytes_out.Inc(e.size());
-        release_slot(e);
+        c_.bytes_out.Inc(e.len);
+        tx_free_slots_.push_back(e.slot);
       }
       c_.tx_datagrams.Inc(run);
       consumed += run;
     }
     tx_head_ += consumed;
     if (sent < static_cast<int>(trains)) {
-      UpdateInterest(true);
+      park();
       return;
     }
   }

@@ -1,23 +1,28 @@
 // Batched UDP datagram server: one non-blocking IPv4 socket on an EventLoop,
 // draining with recvmmsg and answering with sendmmsg.
 //
-// Buffer ownership: all receive storage (mmsghdr/iovec arrays, one
-// contiguous datagram buffer block, the source-address array) is allocated
-// once at Bind() and reused for every batch — the steady-state receive path
-// performs no allocation beyond copying each datagram into the Packet handed
-// to the endpoint handler. Responses queue in a transmit ring and leave in
-// sendmmsg batches: at batch-size boundaries, at the end of each receive
-// batch (so a request batch's responses depart as one syscall), and on
-// EPOLLOUT once the socket signals backpressure.
+// One datagram path: every received datagram goes to the single handler
+// given at Bind(), together with a stable client id (peer address + port)
+// and a free transmit-ring slot. The handler writes its response straight
+// into the slot and returns the size, or 0 for silence; a non-zero size
+// queues the slot for the peer. rootsrv::AuthServer::AnswerUdp is the
+// serving handler.
 //
-// As a Transport: the server hosts ONE local endpoint (id 0) — the DNS
-// server object — and manufactures remote endpoint ids (kRemoteEndpointBit
-// set) for datagram sources. A remote id names a slot in a rotating
-// source-address ring and stays valid until the ring wraps (kPeerSlots
-// further datagrams), which the synchronous request/response pattern never
-// outlives. Several UdpServers may Bind() the same port with
-// `reuse_port` — the kernel then spreads flows across them (multi-worker
-// SO_REUSEPORT serving).
+// Buffer ownership: all receive storage (mmsghdr/iovec arrays, one
+// contiguous datagram buffer block, the source-address array) and the
+// transmit ring (2 × flush threshold slots of rx_buffer bytes) are
+// allocated once at Bind() and reused for every batch — the steady-state
+// datagram path performs no allocation and no copy beyond what the handler
+// writes. Queued responses leave in sendmmsg batches: at the flush
+// threshold, at the end of each receive batch (so a request batch's
+// responses depart as one syscall), and on EPOLLOUT once the socket signals
+// backpressure. The slot free-list is the one backpressure bound: with no
+// free slot after one flush attempt, the datagram is dropped unanswered and
+// counted in net.udp.dropped — a full socket buffer never grows the heap.
+//
+// Several UdpServers may Bind() the same port with `reuse_port` — the
+// kernel then spreads flows across them (multi-worker SO_REUSEPORT
+// serving).
 #pragma once
 
 #include <netinet/in.h>
@@ -30,7 +35,6 @@
 #include <vector>
 
 #include "net/event_loop.h"
-#include "net/transport.h"
 #include "obs/metrics.h"
 #include "util/bytes.h"
 #include "util/result.h"
@@ -39,7 +43,15 @@ struct mmsghdr;  // <sys/socket.h>
 
 namespace rootless::net {
 
-class UdpServer final : public Transport {
+// The client id UdpServer hands its handler for a datagram from `peer`:
+// IPv4 address and port as they arrive (network order), so NATed resolvers
+// stay distinct.
+inline std::uint64_t ClientId(const sockaddr_in& peer) {
+  return (static_cast<std::uint64_t>(peer.sin_addr.s_addr) << 16) |
+         peer.sin_port;
+}
+
+class UdpServer final {
  public:
   struct Options {
     std::string bind_address = "127.0.0.1";
@@ -47,7 +59,9 @@ class UdpServer final : public Transport {
     // Allow multiple sockets on the port (SO_REUSEPORT worker fleets).
     bool reuse_port = false;
     std::size_t batch = 64;        // datagrams per recvmmsg/sendmmsg (max)
-    std::size_t rx_buffer = 4096;  // per-datagram receive capacity
+    // Per-datagram receive capacity, and the size of each transmit-ring
+    // slot: the largest response the handler can write.
+    std::size_t rx_buffer = 4096;
     // UDP GSO/GRO (Linux ≥4.18): receive coalesced same-size datagram
     // trains in one ring entry (UDP_GRO) and transmit same-destination,
     // same-size response runs as one segmented send (UDP_SEGMENT cmsg) —
@@ -60,48 +74,25 @@ class UdpServer final : public Transport {
     obs::Registry* registry = nullptr;  // nullptr = process default
   };
 
-  // Fast-lane hook, tried on each raw datagram before the Packet handler:
-  // the callee may write a response straight into `out` (a preallocated
-  // transmit-ring slot of `capacity` bytes) and return kResponded, decide
-  // on silence (kDropped), or return kMiss with no side effects — the
-  // datagram then takes the normal copy-into-Packet handler path. See
-  // rootsrv::AuthServer::TryFastLane for the serving implementation.
-  using FastHandler = std::function<FastVerdict(
+  // Answers one datagram: writes the response into `out` (a transmit-ring
+  // slot of `capacity` bytes) and returns its size, or returns 0 for
+  // silence. `client` is the peer's ClientId, for rate limiting.
+  using DatagramHandler = std::function<std::size_t(
       std::span<const std::uint8_t> datagram, std::uint64_t client,
-      std::uint8_t* out, std::size_t capacity, std::size_t& out_size)>;
+      std::uint8_t* out, std::size_t capacity)>;
 
   // Creates the socket, binds, registers on the loop. The loop must outlive
-  // the server.
+  // the server; the handler runs on the loop's thread.
   static util::Result<std::unique_ptr<UdpServer>> Bind(EventLoop& loop,
-                                                       Options options);
-  ~UdpServer() override;
+                                                       Options options,
+                                                       DatagramHandler handler);
+  ~UdpServer();
 
   std::uint16_t port() const { return port_; }
   int fd() const { return fd_; }
 
-  // Transport: the first AddNode registers the serving endpoint (id 0);
-  // every received datagram is delivered to it.
-  EndpointId AddNode(ReceiveHandler handler) override;
-  void SetHandler(EndpointId endpoint, ReceiveHandler handler) override;
-  // `dst` must be a remote endpoint id previously seen as a packet source.
-  void Send(EndpointId src, EndpointId dst, util::Bytes payload) override;
-
-  // Installs (or clears, with nullptr) the zero-copy fast lane. When set,
-  // each datagram is offered to the handler first; only misses pay the
-  // Packet copy + full handler. Skipped automatically while the transmit
-  // ring is out of slots or the queue is at its backpressure bound — the
-  // slow path then provides the (counted) drop behaviour.
-  void SetFastLane(FastHandler handler) { fast_handler_ = std::move(handler); }
-
-  // Force out any queued responses (normally automatic).
-  void Flush();
-
-  // Current adaptive receive batch size (grows toward Options::batch under
-  // sustained load, shrinks when the socket drains); exposed for tests.
-  std::size_t rx_batch_now() const { return rx_batch_now_; }
-
  private:
-  UdpServer(EventLoop& loop, Options options);
+  UdpServer(EventLoop& loop, Options options, DatagramHandler handler);
 
   // Sizes every ring; called from Bind() after the GSO/GRO socket-option
   // probe (GRO entries need 64KB buffers, plain ones only rx_buffer).
@@ -115,28 +106,16 @@ class UdpServer final : public Transport {
   void FlushTx();
   void UpdateInterest(bool want_writable);
 
-  // Hands out the next free transmit-ring slot (nullptr when the ring or
-  // the tx queue is full); CommitTxSlot turns it into a queued response.
-  std::uint8_t* AcquireTxSlot();
-  void CommitTxSlot(const sockaddr_in& addr, std::size_t size);
+  // Feeds one wire datagram (either a whole ring entry or one GRO segment)
+  // to the handler and queues its response.
+  void DeliverDatagram(const std::uint8_t* data, std::size_t size,
+                       const sockaddr_in& src);
 
   EventLoop& loop_;
   Options options_;
   int fd_ = -1;
   std::uint16_t port_ = 0;
-  ReceiveHandler handler_;
-  bool handler_set_ = false;
-  FastHandler fast_handler_;
-
-  // Feeds one wire datagram (either a whole ring entry or one GRO segment)
-  // through the fast lane and, on a miss, the Packet handler.
-  void DeliverDatagram(const std::uint8_t* data, std::size_t size,
-                       const sockaddr_in& src);
-
-  // Rotating source-address ring backing remote endpoint ids.
-  static constexpr std::size_t kPeerSlots = 1024;  // power of two
-  std::vector<sockaddr_in> peers_;
-  std::size_t next_peer_ = 0;
+  DatagramHandler handler_;
 
   // Receive rings (sized options_.batch at Bind).
   std::vector<struct ::mmsghdr> rx_msgs_;
@@ -144,7 +123,6 @@ class UdpServer final : public Transport {
   std::vector<sockaddr_in> rx_addrs_;
   util::Bytes rx_buffers_;  // batch × rx_buffer contiguous block
   util::Bytes rx_ctrl_;     // batch × kCtrlBytes cmsg space (UDP_GRO size)
-  Packet rx_packet_;        // reused delivery packet (payload reassigned)
   bool gro_on_ = false;     // UDP_GRO accepted at Bind
   bool gso_on_ = false;     // UDP_SEGMENT accepted at Bind
   static constexpr std::size_t kCtrlBytes = 64;
@@ -155,22 +133,14 @@ class UdpServer final : public Transport {
   std::size_t rx_batch_now_ = 0;
   static constexpr std::size_t kMinRxBatch = 8;
 
-  // Transmit queue + scatter arrays for sendmmsg. An entry either owns its
-  // payload (slow path) or borrows a transmit-ring slot the fast lane wrote
-  // in place (slot != kNoTxSlot; the ring byte block is tx_slots_).
+  // Transmit queue + scatter arrays for sendmmsg. Each entry is a response
+  // the handler wrote into transmit-ring slot `slot` (the ring byte block is
+  // tx_slots_); the queue owns the slot until sendmmsg takes the entry.
   struct TxEntry {
     sockaddr_in addr;
-    util::Bytes payload;
-    std::uint32_t slot = kNoTxSlot;
+    std::uint32_t slot = 0;
     std::uint32_t len = 0;
-    const std::uint8_t* data(const util::Bytes& ring_bytes,
-                             std::size_t slot_bytes) const {
-      return slot == kNoTxSlot ? payload.data()
-                               : ring_bytes.data() + slot * slot_bytes;
-    }
-    std::size_t size() const { return slot == kNoTxSlot ? payload.size() : len; }
   };
-  static constexpr std::uint32_t kNoTxSlot = 0xFFFFFFFFu;
   // Queued responses per sendmmsg flush. batch without GSO; deeper with it,
   // because the size sort inside FlushTx builds longer trains from a larger
   // pending window (the whole window still leaves in one syscall round).
@@ -184,16 +154,13 @@ class UdpServer final : public Transport {
   util::Bytes tx_ctrl_;
   // Entry count of each train built by the current FlushTx round.
   std::vector<std::uint32_t> train_sizes_;
-  // Fast-lane transmit ring: tx_slot_count_ preallocated response buffers of
+  // Transmit ring: tx_slot_count_ preallocated response buffers of
   // rx_buffer bytes each, managed as a free-list stack — the GSO flush path
   // reorders entries within a batch, so release order is arbitrary.
   util::Bytes tx_slots_;
   std::size_t tx_slot_count_ = 0;
   std::size_t tx_slot_bytes_ = 0;
   std::vector<std::uint32_t> tx_free_slots_;
-  // Backpressure bound: beyond this many queued responses, new ones drop
-  // (counted) — a full socket buffer must not grow the heap without bound.
-  static constexpr std::size_t kMaxTxQueue = 4096;
 
   struct Counters {
     obs::Counter rx_datagrams;

@@ -1,6 +1,5 @@
 #include "rootsrv/auth_server.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <utility>
@@ -166,15 +165,31 @@ util::Bytes AuthServer::AnswerDatagram(std::span<const std::uint8_t> payload,
 }
 
 void AuthServer::HandleDatagram(const net::Packet& packet, Channel channel) {
-  const std::uint64_t client = packet.client != net::Packet::kNoClient
-                                   ? packet.client
-                                   : static_cast<std::uint64_t>(packet.src);
-  util::Bytes wire = AnswerDatagram(packet.payload, client, channel);
+  util::Bytes wire = AnswerDatagram(packet.payload, packet.src, channel);
   if (wire.empty()) return;  // silence: RRL drop or unanswerable garbage
   c_.bytes_out.Inc(wire.size());
   if (transport_ != nullptr) {
     transport_->Send(node_, packet.src, std::move(wire));
   }
+}
+
+std::size_t AuthServer::AnswerUdp(std::span<const std::uint8_t> datagram,
+                                  std::uint64_t client, std::uint8_t* out,
+                                  std::size_t capacity) {
+  std::size_t size = 0;
+  switch (TryFastLane(datagram, client, out, capacity, size)) {
+    case net::FastVerdict::kResponded:
+      return size;
+    case net::FastVerdict::kDropped:
+      return 0;
+    case net::FastVerdict::kMiss:
+      break;
+  }
+  const util::Bytes wire = AnswerDatagram(datagram, client, Channel::kUdp);
+  if (wire.empty() || wire.size() > capacity) return 0;
+  c_.bytes_out.Inc(wire.size());
+  std::memcpy(out, wire.data(), wire.size());
+  return wire.size();
 }
 
 net::FastVerdict AuthServer::TryFastLane(std::span<const std::uint8_t> dgram,
@@ -188,25 +203,19 @@ net::FastVerdict AuthServer::TryFastLane(std::span<const std::uint8_t> dgram,
     flc_.parse_fallbacks.Inc();
     return net::FastVerdict::kMiss;
   }
-  // Effective EDNS policy — what ScreenStage would compute from the decoded
-  // message (the shallow parse pinned everything else screen checks, so a
-  // cache hit below implies the pipeline would have passed screen too).
-  std::size_t payload_limit = options_.edns.default_udp_payload;
-  bool echo_opt = false;
-  if (probe.has_opt) {
-    payload_limit =
-        std::clamp<std::size_t>(probe.opt_payload, options_.edns.min_udp_payload,
-                                options_.edns.max_udp_payload);
-    echo_opt = options_.edns.echo_opt;
-  }
+  // The EDNS policy ScreenStage applies to the decoded message (the shallow
+  // parse pinned everything else screen checks, so a cache hit below implies
+  // the pipeline would have passed screen too).
+  const EdnsLimits edns =
+      ApplyEdns(options_.edns, probe.has_opt, probe.opt_payload);
   AnswerCacheStage::WireKey key;
   key.qname = probe.qname;
   key.name_hash = util::simd::NameHash(probe.qname.data(), probe.qname.size());
   key.type = probe.qtype;
   key.flags =
       static_cast<std::uint8_t>((probe.tc ? 2 : 0) | (probe.rd ? 1 : 0));
-  key.echo_opt = echo_opt;
-  key.payload_limit = payload_limit;
+  key.echo_opt = edns.echo_opt;
+  key.payload_limit = edns.payload_limit;
   AnswerCacheStage::FastHit hit;
   if (!cache_stage_.Probe(key, AnswerCacheStage::KeyHash(key), hit) ||
       hit.size > capacity) {
@@ -223,11 +232,13 @@ net::FastVerdict AuthServer::TryFastLane(std::span<const std::uint8_t> dgram,
   if (probe.has_opt) c_.edns_queries.Inc();
   StageVerdict verdict = StageVerdict::kPass;
   if (rrl_stage_.active()) {
-    std::uint64_t now_us = 0;
+    QueryContext ctx;
+    ctx.channel = Channel::kUdp;
+    ctx.client = client;
     if (client != QueryContext::kUnattributed && options_.clock) {
-      now_us = options_.clock();
+      ctx.now_us = options_.clock();
     }
-    verdict = rrl_stage_.AdmitFast(client, now_us);
+    verdict = rrl_stage_.Admit(ctx);
   }
   if (verdict == StageVerdict::kDrop) {
     flc_.drops.Inc();

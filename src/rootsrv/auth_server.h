@@ -1,16 +1,19 @@
-// Authoritative DNS server bound to an immutable zone snapshot, attached to
-// any net::Transport — the simulated network during replays, a socket server
-// (net::UdpServer / net::TcpServer) when serving real resolvers. Decodes
-// queries, applies the zone's lookup logic, and answers with referrals /
-// answers / NXDOMAIN exactly as a root or TLD server would.
+// Authoritative DNS server bound to an immutable zone snapshot. It is either
+// attached to a net::Transport — the simulated network during replays, the
+// TCP socket server (net::TcpServer) — or detached and driven directly: the
+// UDP socket server (net::UdpServer) hands every datagram to AnswerUdp.
+// Decodes queries, applies the zone's lookup logic, and answers with
+// referrals / answers / NXDOMAIN exactly as a root or TLD server would.
 //
-// Every serving path — AnswerWire (a decoded query), AnswerDatagram and
-// HandleDatagram (raw UDP/TCP datagrams) — drives the same
+// Every serving path — AnswerWire (a decoded query), AnswerDatagram,
+// HandleDatagram and AnswerUdp (raw UDP/TCP datagrams) — drives the same
 // rootsrv::QueryPipeline stage chain (see pipeline.h): Screen → RateLimit →
 // AnswerCache → SnapshotAnswer. The server owns the stages and
 // renders whatever the chain decides; there is exactly one EDNS-clamp /
 // truncation implementation, one FORMERR/NOTIMP/REFUSED policy, one cache
-// probe, and one defense hook across both transports.
+// probe, and one defense hook across both transports. AnswerUdp puts the
+// zero-copy fast lane (TryFastLane) in front of that chain; a lane miss has
+// no side effects, so the chain then runs as if the lane were not there.
 //
 // The serving path is zero-copy: a query is answered by assembling borrowed
 // RRset views out of the shared zone::ZoneSnapshot arena and encoding them
@@ -49,9 +52,9 @@ namespace rootless::rootsrv {
 
 // Fast-lane activity (module "rootsrv.fastlane"). These live in their own
 // module so the "rootsrv.auth" / "rootsrv.pipeline" counter deltas stay
-// byte-identical between a fast-lane and a pipeline-only run — the parity
-// suites compare those two modules, and observability of the lane itself
-// must not perturb them.
+// byte-identical between AnswerUdp and the pipeline alone (AnswerDatagram)
+// — the parity suites compare those two modules, and observability of the
+// lane itself must not perturb them.
 struct FastLaneCounters {
   obs::Counter hits;             // answered straight from the cache probe
   obs::Counter parse_fallbacks;  // shallow parser punted to the pipeline
@@ -118,10 +121,10 @@ class AuthServer {
   };
 
   // The snapshot is shared between anycast instances (refcounted).
-  // `transport` may be null for a detached server: AnswerWire() and
-  // AnswerDatagram() work normally, but there is no endpoint (node() is
-  // meaningless) — used by front-ends that drive the server directly (e.g.
-  // the TCP query path), by the local-root loopback and by parity tests.
+  // `transport` may be null for a detached server: AnswerWire(),
+  // AnswerDatagram() and AnswerUdp() work normally, but there is no
+  // endpoint (node() is meaningless) — used by the UDP socket front-end
+  // (AnswerUdp), by the local-root loopback and by parity tests.
   AuthServer(net::Transport* transport, zone::SnapshotPtr snapshot,
              Options options);
 
@@ -174,32 +177,44 @@ class AuthServer {
   util::Bytes AnswerWireFrom(const dns::Message& query, Channel channel,
                              std::uint64_t client);
 
-  // The full datagram path (decode → answer → respond), exposed so socket
-  // front-ends and parity tests can drive exactly what the transport
-  // delivers. Responses (if any) go back through the transport; detached
-  // servers drop them. `channel` selects the truncation regime (a TCP
-  // front-end passes kTcp).
+  // The transport's datagram path (decode → answer → respond): the query is
+  // attributed to `packet.src`. Responses (if any) go back through the
+  // transport; detached servers drop them. `channel` selects the truncation
+  // regime (the TCP front-end passes kTcp).
   void HandleDatagram(const net::Packet& packet,
                       Channel channel = Channel::kUdp);
 
-  // The slow path minus the transport: decode one raw datagram (malformed
+  // The pipeline minus the transport: decode one raw datagram (malformed
   // handling included) and return the response wire, empty when the verdict
-  // is silence. HandleDatagram is this plus the Send; the fast-lane parity
-  // suite drives it directly to compare byte-for-byte against TryFastLane.
+  // is silence. HandleDatagram is this plus bytes_out and the Send; the
+  // parity suites drive it directly as the reference for AnswerUdp.
   util::Bytes AnswerDatagram(std::span<const std::uint8_t> payload,
                              std::uint64_t client,
                              Channel channel = Channel::kUdp);
 
-  // The zero-copy UDP fast lane: shallow-parse `datagram` straight off the
-  // receive ring (dns/wire_probe.h), probe the answer cache, and on a hit
-  // write the response into `out` (cached wire memcpy + id patch) — no
-  // dns::Message, no intermediate buffer. Returns kMiss with NO side
-  // effects (no counters, no limiter charge) when the datagram is not
-  // provably servable or the answer is not memoized; the caller must then
-  // run the normal path, which re-counts from scratch — the probe-first
-  // ordering is what keeps fast and slow runs counter-identical. On a hit
-  // the committed sequence mirrors the pipeline exactly: RRL charge (slip
-  // rendered in place, drop silent), disposition counters, bytes in/out.
+  // The UDP socket entry (net::UdpServer's handler): answers `datagram`
+  // from `client` by writing the response into `out` (a transmit-ring slot
+  // of `capacity` bytes) and returns its size, or 0 for silence. Tries the
+  // fast lane first; on a lane miss runs AnswerDatagram and copies the wire
+  // into `out`. Responses, counters and limiter charges are exactly those
+  // of AnswerDatagram plus HandleDatagram's bytes_out. A response larger
+  // than `capacity` is dropped — the front-end sizes slots to the EDNS
+  // maximum, so it never is.
+  std::size_t AnswerUdp(std::span<const std::uint8_t> datagram,
+                        std::uint64_t client, std::uint8_t* out,
+                        std::size_t capacity);
+
+  // The zero-copy UDP fast lane, AnswerUdp's first step: shallow-parse
+  // `datagram` straight off the receive ring (dns/wire_probe.h), probe the
+  // answer cache, and on a hit write the response into `out` (cached wire
+  // memcpy + id patch) — no dns::Message, no intermediate buffer. Returns
+  // kMiss with NO side effects (no counters, no limiter charge) when the
+  // datagram is not provably servable or the answer is not memoized; the
+  // caller must then run the pipeline, which counts from scratch — the
+  // probe-first ordering is what keeps AnswerUdp counter-identical to
+  // AnswerDatagram. On a hit the committed sequence mirrors the pipeline
+  // exactly: RRL charge through RateLimitStage::Admit (slip rendered in
+  // place, drop silent), disposition counters, bytes in/out.
   net::FastVerdict TryFastLane(std::span<const std::uint8_t> datagram,
                                std::uint64_t client, std::uint8_t* out,
                                std::size_t capacity, std::size_t& out_size);

@@ -64,8 +64,6 @@ void CountDisposition(AuthCounters& c, LookupDisposition disposition) {
 
 StageVerdict ScreenStage::Admit(QueryContext& ctx) {
   const dns::Message& query = *ctx.query;
-  ctx.payload_limit = edns_.default_udp_payload;
-  ctx.echo_opt = false;
 
   // EDNS0 (RFC 6891): the OPT pseudo-record's CLASS field carries the
   // requestor's maximum UDP payload size.
@@ -77,12 +75,10 @@ StageVerdict ScreenStage::Admit(QueryContext& ctx) {
       requestor_payload = static_cast<std::uint16_t>(rr.rrclass);
     }
   }
-  if (opt_count > 0) {
-    c_.edns_queries.Inc();
-    ctx.echo_opt = edns_.echo_opt;
-    ctx.payload_limit = std::clamp(requestor_payload, edns_.min_udp_payload,
-                                   edns_.max_udp_payload);
-  }
+  if (opt_count > 0) c_.edns_queries.Inc();
+  const EdnsLimits limits = ApplyEdns(edns_, opt_count > 0, requestor_payload);
+  ctx.payload_limit = limits.payload_limit;
+  ctx.echo_opt = limits.echo_opt;
   if (ctx.channel == Channel::kTcp) ctx.payload_limit = kMaxTcpMessage;
 
   const auto divert = [&](dns::RCode rcode) {

@@ -22,6 +22,7 @@
 // module "rootsrv.pipeline" (PipelineCounters).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -56,6 +57,25 @@ struct EdnsConfig {
   // Echo an OPT record in responses to EDNS queries.
   bool echo_opt = true;
 };
+
+// The EDNS policy's verdict for one UDP query.
+struct EdnsLimits {
+  std::size_t payload_limit = 0;  // truncate the response at this size
+  bool echo_opt = false;          // append an OPT record to the response
+};
+
+// The one place the EDNS policy is applied: `has_opt` says whether the
+// query carried an OPT record, `requestor_payload` is the UDP payload size
+// it advertised (ignored without one). ScreenStage (decoded queries) and
+// AuthServer::TryFastLane (shallow-parsed datagrams) both call this, so the
+// fast lane's cache key always equals the one the pipeline would build.
+inline EdnsLimits ApplyEdns(const EdnsConfig& edns, bool has_opt,
+                            std::size_t requestor_payload) {
+  if (!has_opt) return {edns.default_udp_payload, false};
+  return {std::clamp(requestor_payload, edns.min_udp_payload,
+                     edns.max_udp_payload),
+          edns.echo_opt};
+}
 
 // Pre-resolved registry handles for the serving counters (module
 // "rootsrv.auth", one instance per server).
@@ -214,31 +234,6 @@ class RateLimitStage : public QueryStage {
   bool active() const { return limiter_ != nullptr; }
   const char* name() const override { return "rate_limit"; }
   StageVerdict Admit(QueryContext& ctx) override;
-
-  // Fast-lane twin of Admit(): the same limiter charge and the same counter
-  // bumps, driven from shallow-parsed fields instead of a QueryContext
-  // (always a UDP query). kRespond means "slip a TC|REFUSED". The charge is
-  // stateful — the caller must already hold a committed outcome (a cache
-  // hit), because charging here and then falling back to the pipeline would
-  // bill the client twice for one query.
-  StageVerdict AdmitFast(std::uint64_t client, std::uint64_t now_us) {
-    if (limiter_ == nullptr || client == QueryContext::kUnattributed) {
-      return StageVerdict::kPass;
-    }
-    pc_.rrl_checked.Inc();
-    switch (limiter_->Admit(client, now_us)) {
-      case ResponseRateLimiter::Decision::kAllow:
-        return StageVerdict::kPass;
-      case ResponseRateLimiter::Decision::kSlip:
-        pc_.rrl_slipped.Inc();
-        c_.refused.Inc();
-        return StageVerdict::kRespond;
-      case ResponseRateLimiter::Decision::kDrop:
-        break;
-    }
-    pc_.rrl_dropped.Inc();
-    return StageVerdict::kDrop;
-  }
 
  private:
   ResponseRateLimiter* limiter_ = nullptr;

@@ -23,6 +23,8 @@
 #include "net/axfr_client.h"
 #include "net/event_loop.h"
 #include "net/frontend.h"
+#include "net/udp_server.h"
+#include "obs/metrics.h"
 #include "rootsrv/auth_server.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
@@ -72,10 +74,7 @@ zone::SnapshotPtr TestSnapshot(const util::CivilDate& date) {
 // The exact AuthServer configuration the frontend gives its workers, with
 // the answer cache off so parity also checks cached vs uncached serving.
 rootsrv::AuthServer::Options ReferenceOptions(const FrontendOptions& fo) {
-  rootsrv::AuthServer::Options options;
-  options.include_dnssec = fo.include_dnssec;
-  options.edns = fo.edns;
-  options.respond_formerr_to_garbage = true;
+  rootsrv::AuthServer::Options options = WorkerAuthOptions(fo);
   options.answer_cache_entries = 0;
   return options;
 }
@@ -92,6 +91,14 @@ class UdpClient {
     ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
   }
   ~UdpClient() { ::close(fd_); }
+
+  // The client id the UDP server charges this socket's datagrams to.
+  std::uint64_t id() const {
+    sockaddr_in local{};
+    socklen_t len = sizeof(local);
+    ::getsockname(fd_, reinterpret_cast<sockaddr*>(&local), &len);
+    return ClientId(local);
+  }
 
   void Send(const util::Bytes& payload) {
     ::send(fd_, payload.data(), payload.size(), 0);
@@ -165,6 +172,26 @@ class TcpClient {
   int fd_ = -1;
   bool connected_ = false;
 };
+
+// A loopback TCP listener on an ephemeral port (written to `addr`) for
+// scripted upstreams; -1 on failure.
+int ListenLoopback(sockaddr_in& addr) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  addr = sockaddr_in{};
+  addr.sin_family = AF_INET;
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  socklen_t addr_len = sizeof(addr);
+  if (listener < 0 ||
+      ::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
+             sizeof(addr)) != 0 ||
+      ::listen(listener, 1) != 0 ||
+      ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr),
+                    &addr_len) != 0) {
+    if (listener >= 0) ::close(listener);
+    return -1;
+  }
+  return listener;
+}
 
 TEST(EventLoop, DispatchesAndWakes) {
   EventLoop loop;
@@ -418,17 +445,9 @@ TEST(NetParity, AxfrRefusesAnOlderServerSerial) {
 // a close() with unread input sends a RST, which drops whatever is still
 // queued for the client, so the client could see a reset short of the cap.
 TEST(NetParity, AxfrStopsAtTheTransferByteCap) {
-  const int listener = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  ASSERT_GE(listener, 0);
   sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
-                   sizeof(addr)),
-            0);
-  ASSERT_EQ(::listen(listener, 1), 0);
-  socklen_t addr_len = sizeof(addr);
-  ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &addr_len);
+  const int listener = ListenLoopback(addr);
+  ASSERT_GE(listener, 0);
 
   std::size_t sent = 0;
   std::thread server([&] {
@@ -499,6 +518,49 @@ TEST(NetParity, AxfrStopsAtTheTransferByteCap) {
   EXPECT_GE(sent + (std::size_t{1} << 20), kMaxAxfrBytes);
 }
 
+// A scripted server that answers with one byte every 20 ms (slowloris):
+// each read makes progress, so only a deadline on the whole fetch ends it.
+// Trickling the SOA probe's answer and trickling the transfer must both
+// fail kTimeout soon after timeout_ms, long before the server gives up.
+TEST(NetParity, AxfrDeadlineCutsATricklingStream) {
+  constexpr int kTimeoutMs = 300;
+  for (const std::uint32_t have_serial : {0u, 1u}) {
+    SCOPED_TRACE(have_serial);
+    sockaddr_in addr{};
+    const int listener = ListenLoopback(addr);
+    ASSERT_GE(listener, 0);
+    std::thread server([listener] {
+      const int fd = ::accept(listener, nullptr, nullptr);
+      if (fd < 0) return;
+      std::uint8_t query[512];
+      if (::recv(fd, query, sizeof(query), 0) > 0) {
+        // A 3 s trickle: an open-ended fetch would outlast it.
+        const std::uint8_t frame[] = {0x01, 0x00};  // a 256-byte frame...
+        for (int i = 0; i < 150; ++i) {
+          const std::uint8_t byte = i < 2 ? frame[i] : 0;  // ...never ending
+          if (::send(fd, &byte, 1, MSG_NOSIGNAL) != 1) break;
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
+      }
+      ::close(fd);
+    });
+
+    AxfrFetchOptions options;
+    options.have_serial = have_serial;
+    options.timeout_ms = kTimeoutMs;
+    const auto start = std::chrono::steady_clock::now();
+    auto fetched = FetchZoneTcp("127.0.0.1", ntohs(addr.sin_port), options);
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    server.join();
+    ::close(listener);
+    ASSERT_FALSE(fetched.ok());
+    EXPECT_EQ(fetched.error().code(), ErrorCode::kTimeout)
+        << fetched.error().message();
+    EXPECT_GE(elapsed, std::chrono::milliseconds(kTimeoutMs));
+    EXPECT_LT(elapsed, std::chrono::milliseconds(kTimeoutMs + 1500));
+  }
+}
+
 TEST(NetParity, SnapshotSwapBecomesVisible) {
   const zone::SnapshotPtr day1 = TestSnapshot({2019, 6, 7});
   const zone::SnapshotPtr day2 = TestSnapshot({2019, 6, 8});
@@ -533,42 +595,42 @@ TEST(NetParity, SnapshotSwapBecomesVisible) {
   frontend.Stop();
 }
 
-// Fast-lane fuzz parity: thousands of valid, mutated, and hostile datagrams
-// against two identically configured frontends — fast lane on vs off. The
+// Socket fuzz parity: thousands of valid, mutated, and hostile datagrams
+// through one frontend, each compared with what a detached AuthServer with
+// the worker's options (and its own limiter with the same config) answers
+// in process through AnswerDatagram — the pipeline alone, no fast lane. The
 // contract is total equivalence: each datagram draws byte-identical
 // responses or is silently dropped by both, and the pipeline/RRL counter
 // deltas match exactly (the fast lane must charge the same counters the
-// slow path would).
+// pipeline would).
 //
 // Response-to-datagram matching: after each fuzz datagram a sentinel query
 // with an id from a reserved range is sent, and the socket is drained until
 // the sentinel's answer appears — anything that arrives first is the fuzz
-// datagram's response. Segmentation offload is disabled on both frontends
+// datagram's response. The reference answers the sentinel too, so both
+// servers see the same query stream. Segmentation offload is disabled
 // because the GSO flush sort may reorder responses within a batch, which
 // would break this pairing.
 TEST(FuzzParity, FastLaneMatchesSlowPathOnHostileCorpus) {
   const zone::SnapshotPtr snapshot = TestSnapshot({2019, 6, 7});
 
-  FrontendOptions base;
-  base.enable_tcp = false;
+  FrontendOptions options;
+  options.enable_tcp = false;
   // Plain datagrams, strict FIFO responses: the sentinel protocol below
   // depends on send-order delivery, which the GSO flush sort would break.
-  base.segmentation_offload = false;
+  options.segmentation_offload = false;
   // A real limiter that never trips: rrl_checked/admit accounting must still
   // advance identically on both paths.
-  base.rrl = {.enabled = true, .rate = 1000000000, .burst = 0, .slip = 2,
-              .buckets = 4096};
-  FrontendOptions fast_options = base;
-  fast_options.fast_lane = true;
-  FrontendOptions slow_options = base;
-  slow_options.fast_lane = false;
+  options.rrl = {.enabled = true, .rate = 1000000000, .burst = 0, .slip = 2,
+                 .buckets = 4096};
 
-  SnapshotSource fast_source(snapshot);
-  SnapshotSource slow_source(snapshot);
-  DnsFrontend fast(fast_source, fast_options);
-  DnsFrontend slow(slow_source, slow_options);
-  ASSERT_TRUE(fast.Start().ok());
-  ASSERT_TRUE(slow.Start().ok());
+  SnapshotSource source(snapshot);
+  DnsFrontend frontend(source, options);
+  ASSERT_TRUE(frontend.Start().ok());
+  obs::Registry reference_registry;
+  rootsrv::AuthServer::Options reference_options = WorkerAuthOptions(options);
+  reference_options.registry = &reference_registry;
+  rootsrv::AuthServer reference(nullptr, snapshot, reference_options);
 
   // Sentinel: fixed valid query; ids live in 0xFF00+ which the corpus
   // generator never produces.
@@ -631,11 +693,21 @@ TEST(FuzzParity, FastLaneMatchesSlowPathOnHostileCorpus) {
     return wire;
   };
 
-  UdpClient fast_client(fast.udp_port());
-  UdpClient slow_client(slow.udp_port());
-  // One datagram through one server; returns its response (nullopt =
+  UdpClient client(frontend.udp_port());
+  const std::uint64_t client_id = client.id();
+  // The reference's answer (nullopt = silence); bytes_out is what
+  // HandleDatagram would have counted on top of AnswerDatagram.
+  std::uint64_t reference_bytes_out = 0;
+  auto reference_answer =
+      [&](const util::Bytes& datagram) -> std::optional<util::Bytes> {
+    util::Bytes wire = reference.AnswerDatagram(datagram, client_id);
+    if (wire.empty()) return std::nullopt;
+    reference_bytes_out += wire.size();
+    return wire;
+  };
+  // One datagram through the frontend; returns its response (nullopt =
   // silently dropped), using the sentinel to bound the wait.
-  auto probe = [&](UdpClient& client, const util::Bytes& datagram,
+  auto probe = [&](const util::Bytes& datagram,
                    std::uint16_t sid) -> std::optional<util::Bytes> {
     const util::Bytes sentinel = sentinel_wire(sid);
     client.Send(datagram);
@@ -660,12 +732,13 @@ TEST(FuzzParity, FastLaneMatchesSlowPathOnHostileCorpus) {
     const util::Bytes datagram = make_datagram(id);
     const std::uint16_t sid = sentinel_id++;
     if (sentinel_id == 0) sentinel_id = 0xFF00;
-    const auto from_fast = probe(fast_client, datagram, sid);
-    const auto from_slow = probe(slow_client, datagram, sid);
-    ASSERT_EQ(from_fast.has_value(), from_slow.has_value())
+    const auto served = probe(datagram, sid);
+    const auto expected = reference_answer(datagram);
+    (void)reference_answer(sentinel_wire(sid));
+    ASSERT_EQ(served.has_value(), expected.has_value())
         << "corpus item " << i;
-    if (from_fast.has_value()) {
-      ASSERT_EQ(*from_fast, *from_slow) << "corpus item " << i;
+    if (served.has_value()) {
+      ASSERT_EQ(*served, *expected) << "corpus item " << i;
       ++answered;
     } else {
       ++silent;
@@ -674,15 +747,14 @@ TEST(FuzzParity, FastLaneMatchesSlowPathOnHostileCorpus) {
   EXPECT_GT(answered, kCorpus / 3);
   EXPECT_GT(silent, 0);
 
-  fast.Stop();
-  slow.Stop();
+  frontend.Stop();
 
   // The lane must actually have engaged, and every per-stage counter the
   // two servers charged must agree — the fast lane's accounting is required
   // to be indistinguishable from the pipeline's.
-  EXPECT_GT(fast.fast_lane_stats().hits, 0u);
-  const rootsrv::PipelineStats fp = fast.pipeline_stats();
-  const rootsrv::PipelineStats sp = slow.pipeline_stats();
+  EXPECT_GT(frontend.fast_lane_stats().hits, 0u);
+  const rootsrv::PipelineStats fp = frontend.pipeline_stats();
+  const rootsrv::PipelineStats sp = reference.pipeline_stats();
   EXPECT_EQ(fp.screen_diverted, sp.screen_diverted);
   EXPECT_EQ(fp.rrl_checked, sp.rrl_checked);
   EXPECT_EQ(fp.rrl_dropped, sp.rrl_dropped);
@@ -691,8 +763,8 @@ TEST(FuzzParity, FastLaneMatchesSlowPathOnHostileCorpus) {
   EXPECT_EQ(fp.cache_insertions, sp.cache_insertions);
   EXPECT_EQ(fp.cache_evictions, sp.cache_evictions);
   EXPECT_EQ(fp.snapshot_answers, sp.snapshot_answers);
-  const rootsrv::AuthServerStats fs = fast.stats();
-  const rootsrv::AuthServerStats ss = slow.stats();
+  const rootsrv::AuthServerStats fs = frontend.stats();
+  const rootsrv::AuthServerStats ss = reference.stats();
   EXPECT_EQ(fs.queries, ss.queries);
   EXPECT_EQ(fs.malformed, ss.malformed);
   EXPECT_EQ(fs.refused, ss.refused);
@@ -700,9 +772,104 @@ TEST(FuzzParity, FastLaneMatchesSlowPathOnHostileCorpus) {
   EXPECT_EQ(fs.edns_queries, ss.edns_queries);
   EXPECT_EQ(fs.cache_hits, ss.cache_hits);
   EXPECT_EQ(fs.bytes_in, ss.bytes_in);
-  EXPECT_EQ(fs.bytes_out, ss.bytes_out);
-  EXPECT_EQ(fast.rrl()->dropped(), slow.rrl()->dropped());
-  EXPECT_EQ(fast.rrl()->slipped(), slow.rrl()->slipped());
+  EXPECT_EQ(fs.bytes_out, ss.bytes_out + reference_bytes_out);
+  EXPECT_EQ(frontend.rrl()->dropped(), reference.rrl()->dropped());
+  EXPECT_EQ(frontend.rrl()->slipped(), reference.rrl()->slipped());
+}
+
+// AnswerUdp (fast lane, then the pipeline) against AnswerDatagram (the
+// pipeline alone) with a limiter that trips: twin detached servers with the
+// same options and a frozen clock, so each client gets its burst of two and
+// then alternates slips and drops. The corpus repeats warm cache keys at
+// several EDNS sizes, so the lane serves hits, renders TC|REFUSED slips and
+// decides drops itself; each must match the pipeline byte for byte and
+// silence for silence, and leave identical counters.
+TEST(FuzzParity, AnswerUdpMatchesPipelineWithTrippingLimiter) {
+  const zone::SnapshotPtr snapshot = TestSnapshot({2019, 6, 7});
+  FrontendOptions frontend_options;
+  frontend_options.rrl = {.enabled = true, .rate = 1, .burst = 2, .slip = 2,
+                          .buckets = 4096};
+  rootsrv::AuthServer::Options options = WorkerAuthOptions(frontend_options);
+  options.clock = [] { return std::uint64_t{1'000'000}; };
+  obs::Registry lane_registry;
+  obs::Registry reference_registry;
+  options.registry = &lane_registry;
+  rootsrv::AuthServer lane(nullptr, snapshot, options);
+  options.registry = &reference_registry;
+  rootsrv::AuthServer reference(nullptr, snapshot, options);
+
+  // Warm keys: every shape the shallow parser accepts, at EDNS sizes below,
+  // inside and above the clamp bounds.
+  std::vector<dns::Message> warm;
+  for (const char* qname : {"", "com.", "www.net.", "WWW.Org.", "bigtld.",
+                            "www.no-such-tld-zz."}) {
+    for (const RRType type : {RRType::kA, RRType::kNS, RRType::kDNSKEY}) {
+      warm.push_back(dns::MakeQuery(0, N(qname), type));
+    }
+  }
+  util::Rng rng(0x5119);
+  auto make_datagram = [&](std::uint16_t id) -> util::Bytes {
+    if (rng.Below(10) == 0) {  // garbage: the pipeline's FORMERR or silence
+      util::Bytes wire(rng.Below(40));
+      for (auto& b : wire) b = static_cast<std::uint8_t>(rng.Below(256));
+      return wire;
+    }
+    dns::Message query = warm[rng.Below(warm.size())];
+    query.header.id = id;
+    query.header.rd = rng.Below(2) == 0;
+    const std::uint16_t payloads[] = {0, 100, 512, 1232, 4096, 9000};
+    const std::uint16_t payload = payloads[rng.Below(6)];
+    return dns::EncodeMessage(payload ? WithOpt(std::move(query), payload)
+                                      : query);
+  };
+
+  std::vector<std::uint8_t> slot(4096);
+  std::uint64_t reference_bytes_out = 0;
+  int answered = 0, silent = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const util::Bytes datagram = make_datagram(static_cast<std::uint16_t>(i));
+    const std::uint64_t client = rng.Below(200);
+    const std::size_t size =
+        lane.AnswerUdp(datagram, client, slot.data(), slot.size());
+    const util::Bytes expected = reference.AnswerDatagram(datagram, client);
+    ASSERT_EQ(util::Bytes(slot.data(), slot.data() + size), expected)
+        << "corpus item " << i;
+    reference_bytes_out += expected.size();
+    ++(expected.empty() ? silent : answered);
+  }
+  EXPECT_GT(answered, 0);
+  EXPECT_GT(silent, 0);
+
+  const rootsrv::FastLaneStats fl = lane.fast_lane_stats();
+  EXPECT_GT(fl.hits, 0u);
+  EXPECT_GT(fl.slips, 0u);
+  EXPECT_GT(fl.drops, 0u);
+  const rootsrv::PipelineStats lp = lane.pipeline_stats();
+  const rootsrv::PipelineStats rp = reference.pipeline_stats();
+  EXPECT_GT(rp.rrl_slipped, 0u);
+  EXPECT_GT(rp.rrl_dropped, 0u);
+  EXPECT_EQ(lp.screen_diverted, rp.screen_diverted);
+  EXPECT_EQ(lp.rrl_checked, rp.rrl_checked);
+  EXPECT_EQ(lp.rrl_dropped, rp.rrl_dropped);
+  EXPECT_EQ(lp.rrl_slipped, rp.rrl_slipped);
+  EXPECT_EQ(lp.cache_probes, rp.cache_probes);
+  EXPECT_EQ(lp.cache_insertions, rp.cache_insertions);
+  EXPECT_EQ(lp.cache_evictions, rp.cache_evictions);
+  EXPECT_EQ(lp.snapshot_answers, rp.snapshot_answers);
+  const rootsrv::AuthServerStats ls = lane.stats();
+  const rootsrv::AuthServerStats rs = reference.stats();
+  EXPECT_EQ(ls.queries, rs.queries);
+  EXPECT_EQ(ls.answers, rs.answers);
+  EXPECT_EQ(ls.referrals, rs.referrals);
+  EXPECT_EQ(ls.nxdomain, rs.nxdomain);
+  EXPECT_EQ(ls.nodata, rs.nodata);
+  EXPECT_EQ(ls.refused, rs.refused);
+  EXPECT_EQ(ls.malformed, rs.malformed);
+  EXPECT_EQ(ls.truncated, rs.truncated);
+  EXPECT_EQ(ls.edns_queries, rs.edns_queries);
+  EXPECT_EQ(ls.cache_hits, rs.cache_hits);
+  EXPECT_EQ(ls.bytes_in, rs.bytes_in);
+  EXPECT_EQ(ls.bytes_out, rs.bytes_out + reference_bytes_out);
 }
 
 TEST(NetParity, MultiWorkerReusePortServesEveryQuery) {
